@@ -23,8 +23,9 @@
 /// BENCH_index_throughput.json.
 ///
 /// A fourth measurement covers the block-max pruned top-k driver
-/// (docs/INDEX.md "Block-max pruning"): the same queries ranked through a
-/// TfIdfRanker with a CompressedIndex accelerator, at k = 10 and k = 100,
+/// (docs/INDEX.md "Block-max pruning"): the same queries ranked by
+/// search::top_k with IDF weights over a base-only snapshot of the
+/// CompressedIndex built from the interned index, at k = 10 and k = 100,
 /// for short (2-5 term) and long (6-10 term) queries. Rank safety is
 /// asserted in-run: every pruned result must be byte-identical (score bits,
 /// documents, tie-breaks) to the exhaustive ranker.
@@ -51,6 +52,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
@@ -277,8 +279,9 @@ std::vector<ScoredDoc> legacy_top_k(const LegacyIndex& idx,
 }
 
 // ---------------------------------------------------------------------------
-// Interned path: the shipping pipeline on pre-extracted text (mirrors
-// DataStore::index_document without the XML envelope).
+// Interned path: DataStore's analyze -> intern -> TermCounts -> filter
+// pipeline on pre-extracted text, committed into an InvertedIndex (the
+// ranked side's exhaustive oracle) instead of the store's epoch segments.
 // ---------------------------------------------------------------------------
 
 struct InternedStore {
@@ -444,7 +447,7 @@ SizeResult run_size(std::size_t docs, std::size_t queries, std::size_t vocab_siz
   }
   if (interned_hits != legacy_hits) out.rankings_agree = false;
 
-  // --- pruned eval: block-max driver over a CompressedIndex accelerator ---
+  // --- pruned eval: block-max driver over a base-only snapshot ---
   // Long queries (6-10 terms) are the adversarial case for MaxScore: more
   // non-essential lists, weaker per-term bounds.
   auto long_queries = make_queries(queries, vocab, zipf, rng, 6, 10);
@@ -452,8 +455,14 @@ SizeResult run_size(std::size_t docs, std::size_t queries, std::size_t vocab_siz
     for (auto& t : q) text::porter_stem(t);
   }
 
-  const CompressedIndex ci = CompressedIndex::build(interned.idx);
-  const search::TfIdfRanker accel(interned.idx, &ci);
+  const auto snap = index::EpochSnapshot::of_base(
+      std::make_shared<const CompressedIndex>(CompressedIndex::build(interned.idx)));
+  std::unordered_map<std::string, double> weights;
+  const auto pruned_top_k = [&](const std::vector<std::string>& terms, std::size_t k,
+                                search::PruneStats* stats) {
+    search::idf_weights(*snap, terms, weights);
+    return search::top_k(*snap, weights, k, stats);
+  };
 
   std::uint64_t sink = 0;
   out.exhaustive_eval_k100 = timed_loop(queries, [&](std::size_t i) {
@@ -467,15 +476,15 @@ SizeResult run_size(std::size_t docs, std::size_t queries, std::size_t vocab_siz
 
   search::PruneStats& ps = out.prune_stats;
   out.pruned_eval_k10 = timed_loop(queries, [&](std::size_t i) {
-    sink += accel.top_k(stemmed_queries[i], kTopK, &ps).size();
+    sink += pruned_top_k(stemmed_queries[i], kTopK, &ps).size();
   });
   print_op("pruned eval k10", out.pruned_eval_k10, "query/s");
   out.pruned_eval_k100 = timed_loop(queries, [&](std::size_t i) {
-    sink += accel.top_k(stemmed_queries[i], 100, &ps).size();
+    sink += pruned_top_k(stemmed_queries[i], 100, &ps).size();
   });
   print_op("pruned eval k100", out.pruned_eval_k100, "query/s");
   out.pruned_eval_long = timed_loop(queries, [&](std::size_t i) {
-    sink += accel.top_k(long_queries[i], kTopK, &ps).size();
+    sink += pruned_top_k(long_queries[i], kTopK, &ps).size();
   });
   print_op("pruned eval long", out.pruned_eval_long, "query/s");
 
@@ -484,8 +493,10 @@ SizeResult run_size(std::size_t docs, std::size_t queries, std::size_t vocab_siz
   // shapes, both k.
   for (std::size_t i = 0; i < queries && out.pruned_identical; ++i) {
     for (const std::size_t k : {std::size_t{10}, std::size_t{100}}) {
-      if (!bit_identical(accel.top_k(stemmed_queries[i], k), ranker.top_k(stemmed_queries[i], k)) ||
-          !bit_identical(accel.top_k(long_queries[i], k), ranker.top_k(long_queries[i], k))) {
+      if (!bit_identical(pruned_top_k(stemmed_queries[i], k, nullptr),
+                         ranker.top_k(stemmed_queries[i], k)) ||
+          !bit_identical(pruned_top_k(long_queries[i], k, nullptr),
+                         ranker.top_k(long_queries[i], k))) {
         out.pruned_identical = false;
         std::fprintf(stderr, "  pruned ranking diverged on query %zu k %zu\n", i, k);
         break;

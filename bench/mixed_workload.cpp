@@ -6,15 +6,17 @@
 /// folding pending epochs into the compressed base.
 ///
 /// Two phases:
-///   identity — a sequential oracle DataStore replays the writer's exact
-///              op-log; after EVERY commit the published epoch is ranked
-///              against the oracle and must match byte-for-byte (score bits
-///              and DocumentId tie-breaks). This is the headline contract of
-///              the epoch design, gated, not just reported.
+///   identity — an independent sequential oracle (a plain InvertedIndex fed
+///              the analyzer's term counts, no DataStore code) replays the
+///              writer's exact op-log; after EVERY commit the published
+///              epoch is ranked against the oracle's TfIdfRanker and must
+///              match byte-for-byte (score bits and DocumentId tie-breaks).
+///              This is the headline contract of the epoch design, gated,
+///              not just reported.
 ///   timed    — for 1, 2, 4 and 8 reader threads: aggregate queries/sec,
 ///              p50/p99 query latency, and epochs published by the live
 ///              writer during the window. Readers rank through the pruned
-///              SnapshotRanker path (docs/INDEX.md "Block-max pruning"):
+///              search::top_k path (docs/INDEX.md "Block-max pruning"):
 ///              the store is warmed past kMinPrunedDocs so the merged base
 ///              carries block metadata, and per-reader PruneStats are
 ///              aggregated into the report.
@@ -53,7 +55,9 @@
 #include <vector>
 
 #include "index/data_store.hpp"
+#include "index/inverted_index.hpp"
 #include "search/ranker.hpp"
+#include "text/analyzer.hpp"
 #include "text/porter_stemmer.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -152,20 +156,24 @@ std::size_t identity_phase(std::size_t num_docs, const std::vector<std::string>&
   cfg.merge_min_docs = 128;
   cfg.merge_tombstone_threshold = 16;
   DataStore store(1, {}, {}, cfg);
-  DataStore oracle(1);
+  const text::Analyzer analyzer;
+  InvertedIndex oracle;
 
   std::atomic<bool> done{false};
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < 8; ++r) {
     readers.emplace_back([&store, &queries, &done, r] {
       Rng rng(0xAB5EED00ULL + r);
+      std::unordered_map<std::string, double> weights;
       while (!done.load(std::memory_order_relaxed)) {
         const auto snap = store.snapshot();
         const auto& q = queries[rng.below(queries.size())];
-        (void)search::SnapshotRanker(*snap).top_k(q, 10);
+        search::idf_weights(*snap, q, weights);
+        (void)search::top_k(*snap, weights, 10);
       }
     });
   }
+  std::unordered_map<std::string, double> weights;
 
   Rng rng(0x1DE47171ULL);
   std::size_t mismatches = 0;
@@ -174,7 +182,7 @@ std::size_t identity_phase(std::size_t num_docs, const std::vector<std::string>&
   for (std::size_t i = 0; i < num_docs; ++i) {
     const std::string& xml = corpus[i % corpus.size()];
     const DocumentId id = store.publish(std::string(xml));
-    oracle.publish_as(id.local, std::string(xml));
+    oracle.add_document(id, analyzer.term_frequencies(make_document(id, xml).text));
     live.push_back(id.local);
     ++epochs;
     if (i % 8 == 7) {
@@ -183,15 +191,16 @@ std::size_t identity_phase(std::size_t num_docs, const std::vector<std::string>&
       live[pick] = live.back();
       live.pop_back();
       store.unpublish(DocumentId{1, victim});
-      oracle.unpublish(DocumentId{1, victim});
+      oracle.remove_document(DocumentId{1, victim});
       ++epochs;
     }
     // Rank the epoch just published against the oracle — the oracle *is* the
     // "sequential single-threaded store over the same documents".
     const auto snap = store.snapshot();
     const auto& q = queries[i % queries.size()];
-    if (!rankings_identical(search::SnapshotRanker(*snap).top_k(q, 10),
-                            search::TfIdfRanker(oracle.index()).top_k(q, 10))) {
+    search::idf_weights(*snap, q, weights);
+    if (!rankings_identical(search::top_k(*snap, weights, 10),
+                            search::TfIdfRanker(oracle).top_k(q, 10))) {
       ++mismatches;
       std::fprintf(stderr, "  epoch %llu diverged from the sequential oracle\n",
                    static_cast<unsigned long long>(snap->epoch()));
@@ -263,11 +272,13 @@ MixedResult run_mixed(std::size_t num_readers, double seconds,
       std::vector<double>& lat = latencies[r];
       lat.reserve(1 << 16);
       search::PruneStats& ps = reader_stats[r];
+      std::unordered_map<std::string, double> weights;
       while (!done.load(std::memory_order_relaxed)) {
         const auto& q = queries[rng.below(queries.size())];
         const double s = wall_now_s();
         const auto snap = store.snapshot();
-        const auto top = search::SnapshotRanker(*snap).top_k(q, 10, &ps);
+        search::idf_weights(*snap, q, weights);
+        const auto top = search::top_k(*snap, weights, 10, &ps);
         lat.push_back((wall_now_s() - s) * 1e6);
         (void)top;
         ++counts[r];

@@ -12,6 +12,15 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+# The end-to-end benchmark package (perfbench/) compiles the library from src/
+# as a package of its own, and tier-1 never builds its traced program — so a
+# library signature change would otherwise only surface when the benchmark
+# runs. Build both of its programs and its helper tests, then run its ctest:
+# the helper tests plus a tiny smoke of every workload under both programs.
+cmake -B build-perfbench -S perfbench
+cmake --build build-perfbench -j "$JOBS" --target perfbench_e2e perfbench_trace perfbench_tests
+ctest --test-dir build-perfbench --output-on-failure -j "$JOBS"
+
 # Tier-1 tests again under the sanitizer preset (-DPLANETP_SANITIZE accepts a
 # -fsanitize list). A separate build dir keeps instrumented objects apart.
 cmake -B build-asan -S . -DPLANETP_SANITIZE=address,undefined

@@ -17,27 +17,24 @@ Node::Node(PeerId id, NodeConfig config, Community* community)
       last_announced_(config_.bloom),
       filter_cache_(config_.candidate_cache) {}
 
-std::vector<std::uint8_t> Node::encoded_filter() const {
-  ByteWriter w;
-  bloom::encode_filter(w, store_.bloom_filter());
-  return w.take();
-}
-
 void Node::announce_filter_change(std::uint32_t new_keys) {
+  // Materialize the filter once; the diff and the full wire both encode it.
   const bloom::BloomFilter current = store_.bloom_filter();
   ByteWriter diff_writer;
   bloom::encode_diff(diff_writer, current.diff_from(last_announced_));
-  protocol_.local_filter_change(static_cast<std::uint32_t>(store_.index().num_terms()),
-                                new_keys, diff_writer.take(), encoded_filter(),
+  ByteWriter full_writer;
+  bloom::encode_filter(full_writer, current);
+  protocol_.local_filter_change(static_cast<std::uint32_t>(store_.num_terms()),
+                                new_keys, diff_writer.take(), full_writer.take(),
                                 community_ != nullptr ? community_->now() : 0);
   last_announced_ = current;
   if (community_ != nullptr) community_->record_changed(id_);
 }
 
 DocumentId Node::publish(std::string xml) {
-  const std::size_t terms_before = store_.index().num_terms();
+  const std::size_t terms_before = store_.num_terms();
   const DocumentId doc_id = store_.publish(std::move(xml));
-  const std::size_t terms_after = store_.index().num_terms();
+  const std::size_t terms_after = store_.num_terms();
   announce_filter_change(static_cast<std::uint32_t>(terms_after - terms_before));
 
   if (config_.publish_to_brokers && community_ != nullptr) {
@@ -86,9 +83,9 @@ bool Node::unpublish(DocumentId doc) {
 }
 
 bool Node::republish(DocumentId doc, std::string xml) {
-  const std::size_t terms_before = store_.index().num_terms();
+  const std::size_t terms_before = store_.num_terms();
   if (!store_.republish(doc, std::move(xml))) return false;
-  const std::size_t terms_after = store_.index().num_terms();
+  const std::size_t terms_after = store_.num_terms();
   announce_filter_change(static_cast<std::uint32_t>(
       terms_after > terms_before ? terms_after - terms_before : 0));
   return true;
@@ -311,8 +308,8 @@ std::vector<SearchHit> Node::proxy_ranked_search(std::string_view query, std::si
 std::vector<search::ScoredDoc> Node::handle_ranked_query(
     const std::unordered_map<std::string, double>& term_weights) const {
   // Rank against the published epoch snapshot — byte-identical to scoring
-  // the live index, and safe against concurrent publishes on this store.
-  return search::score_snapshot(*store_.snapshot(), term_weights);
+  // a sequential index, and safe against concurrent publishes on this store.
+  return search::top_k(*store_.snapshot(), term_weights, search::kAllMatches);
 }
 
 std::vector<SearchHit> Node::handle_exhaustive_query(std::string_view query) const {

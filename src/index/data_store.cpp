@@ -15,19 +15,37 @@ DataStore::DataStore(std::uint32_t peer_id, bloom::BloomParams bloom_params,
       counting_filter_(bloom_params),
       epochs_(std::make_unique<EpochIndex>(epoch_config)) {}
 
-void DataStore::index_document(const Document& doc) {
-  counts_.clear();
-  analyzer_.for_each_term(doc.text, scratch_, [&](std::string_view term) {
-    counts_.add(index_.intern_term(term));
-  });
-  index_.add_document_counts(doc.id, counts_);
-  // Feed the counting filter from the dictionary's pre-computed hashes: one
-  // hash per distinct term per store lifetime, shared with index lookups.
-  const TermDictionary& dict = index_.dictionary();
-  for (const TermId term : counts_.terms()) {
-    counting_filter_.insert(dict.hash(term));
+void DataStore::claim_id(DocumentId id, const char* who) {
+  if (id.local == kNoLocalId) {
+    throw std::invalid_argument(std::string(who) + ": local id space exhausted");
   }
-  epochs_->commit_publish(doc.id, dict, counts_);
+  if (docs_.contains(id)) {
+    throw std::invalid_argument(std::string(who) + ": local id already in use");
+  }
+}
+
+void DataStore::count_terms(std::string_view text) {
+  counts_.clear();
+  analyzer_.for_each_term(text, scratch_,
+                          [&](std::string_view term) { counts_.add(dict_.intern(term)); });
+}
+
+void DataStore::add_document(Document doc) {
+  const DocumentId id = doc.id;
+  if (id.local >= next_local_id_) next_local_id_ = id.local + 1;
+  StoredDoc stored{std::move(doc), {}};
+  stored.terms.reserve(counts_.terms().size());
+  for (const TermId term : counts_.terms()) {
+    stored.terms.emplace_back(term, counts_.count(term));
+    // Feed the counting filter from the dictionary's pre-computed hashes:
+    // one hash per distinct term per store lifetime.
+    counting_filter_.insert(dict_.hash(term));
+    if (term >= term_docs_.size()) term_docs_.resize(term + 1, 0);
+    if (term_docs_[term]++ == 0) ++num_terms_;
+  }
+  epochs_->commit_publish(id, dict_, counts_);
+  docs_[id] = std::move(stored);
+  ++filter_version_;
 }
 
 DocumentId DataStore::publish(std::string xml_source) {
@@ -36,17 +54,12 @@ DocumentId DataStore::publish(std::string xml_source) {
 
 DocumentId DataStore::publish_as(std::uint32_t local_id, std::string xml_source) {
   const DocumentId id{peer_id_, local_id};
-  if (docs_.contains(id)) {
-    throw std::invalid_argument("DataStore::publish_as: local id already in use");
-  }
+  claim_id(id, "DataStore::publish_as");
   // Parse before burning the id: a malformed document leaves the store (and
   // the id counter) untouched, whether published directly or via a batch.
   Document doc = make_document(id, std::move(xml_source));
-  if (local_id >= next_local_id_) next_local_id_ = local_id + 1;
-
-  index_document(doc);
-  docs_[id] = std::move(doc);
-  ++filter_version_;
+  count_terms(doc.text);
+  add_document(std::move(doc));
   return id;
 }
 
@@ -73,32 +86,14 @@ DataStore::PreparedDoc DataStore::prepare(DocumentId id, std::string xml_source)
   return out;
 }
 
-void DataStore::commit_prepared(PreparedDoc&& prepared) {
-  const DocumentId id = prepared.doc.id;
-  if (docs_.contains(id)) {
-    throw std::invalid_argument("DataStore::publish_batch: local id already in use");
-  }
-  if (id.local >= next_local_id_) next_local_id_ = id.local + 1;
-
-  counts_.clear();
-  for (const auto& [term, freq] : prepared.term_counts) {
-    counts_.add(index_.intern_term(term), freq);
-  }
-  index_.add_document_counts(id, counts_);
-  const TermDictionary& dict = index_.dictionary();
-  for (const TermId term : counts_.terms()) {
-    counting_filter_.insert(dict.hash(term));
-  }
-  epochs_->commit_publish(id, dict, counts_);
-  docs_[id] = std::move(prepared.doc);
-  ++filter_version_;
-}
-
 std::vector<DocumentId> DataStore::publish_batch(std::vector<std::string> xml_sources,
                                                  ThreadPool* pool) {
   std::vector<DocumentId> ids;
   ids.reserve(xml_sources.size());
-  if (pool == nullptr || xml_sources.size() < 2) {
+  // A batch that would run past the id space goes sequentially, so it stops
+  // with the same exception, at the same document, as a publish loop.
+  if (pool == nullptr || xml_sources.size() < 2 ||
+      xml_sources.size() > kNoLocalId - next_local_id_) {
     for (std::string& xml : xml_sources) {
       ids.push_back(publish(std::move(xml)));
     }
@@ -106,7 +101,7 @@ std::vector<DocumentId> DataStore::publish_batch(std::vector<std::string> xml_so
   }
 
   // Parse + analyze in parallel; commit strictly in document order below, so
-  // the resulting dictionary/index/filter are identical to a sequential
+  // the resulting dictionary/filter/epochs are identical to a sequential
   // publish loop regardless of worker count or completion order.
   const std::uint32_t base = next_local_id_;
   std::vector<std::future<PreparedDoc>> prepared;
@@ -123,7 +118,10 @@ std::vector<DocumentId> DataStore::publish_batch(std::vector<std::string> xml_so
     // committed — the same state a sequential loop leaves behind.
     PreparedDoc doc = fut.get();
     const DocumentId id = doc.doc.id;
-    commit_prepared(std::move(doc));
+    claim_id(id, "DataStore::publish_batch");
+    counts_.clear();
+    for (const auto& [term, freq] : doc.term_counts) counts_.add(dict_.intern(term), freq);
+    add_document(std::move(doc.doc));
     ids.push_back(id);
   }
   return ids;
@@ -136,22 +134,20 @@ DocumentId DataStore::publish_text(std::string_view title, std::string_view body
 bool DataStore::unpublish(DocumentId id) {
   auto it = docs_.find(id);
   if (it == docs_.end()) return false;
-  docs_.erase(it);
-  // Capture the document's exact postings before the index forgets them:
-  // the epoch tombstone needs them so snapshot-wide collection statistics
-  // keep matching a store that never indexed the document. The counting
-  // filter is fed from the same pass (hashes pre-computed by the
-  // dictionary).
-  const TermDictionary& dict = index_.dictionary();
-  const std::uint32_t doc_length = index_.document_length(id);
+  // The epoch tombstone carries the document's exact postings so
+  // snapshot-wide collection statistics keep matching a store that never
+  // indexed the document. The counting filter is fed from the same pass
+  // (hashes pre-computed by the dictionary).
+  std::uint32_t doc_length = 0;
   std::vector<std::pair<std::string, std::uint32_t>> term_freqs;
-  const std::vector<TermId>& term_ids = index_.document_term_ids(id);
-  term_freqs.reserve(term_ids.size());
-  for (const TermId term : term_ids) {
-    counting_filter_.remove(dict.hash(term));
-    term_freqs.emplace_back(std::string(dict.term(term)), index_.term_frequency_by_id(term, id));
+  term_freqs.reserve(it->second.terms.size());
+  for (const auto& [term, freq] : it->second.terms) {
+    counting_filter_.remove(dict_.hash(term));
+    if (--term_docs_[term] == 0) --num_terms_;
+    term_freqs.emplace_back(std::string(dict_.term(term)), freq);
+    doc_length += freq;
   }
-  index_.remove_document(id);
+  docs_.erase(it);
   epochs_->commit_remove(id, doc_length, std::move(term_freqs));
   ++filter_version_;
   return true;
@@ -163,48 +159,50 @@ bool DataStore::republish(DocumentId id, std::string xml_source) {
   Document replacement = make_document(id, std::move(xml_source));
 
   unpublish(id);
-  index_document(replacement);
-  docs_[id] = std::move(replacement);
-  ++filter_version_;
+  count_terms(replacement.text);
+  add_document(std::move(replacement));
   return true;
 }
 
 const Document* DataStore::document(DocumentId id) const {
   auto it = docs_.find(id);
-  return it == docs_.end() ? nullptr : &it->second;
+  return it == docs_.end() ? nullptr : &it->second.doc;
+}
+
+std::vector<DocumentId> DataStore::documents() const {
+  std::vector<DocumentId> out;
+  out.reserve(docs_.size());
+  for (const auto& [id, stored] : docs_) out.push_back(id);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<DocumentId> DataStore::search_all_terms(std::string_view query) const {
-  const auto terms = analyzer_.analyze(query);
+  auto terms = analyzer_.analyze(query);
   if (terms.empty()) return {};
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
 
-  // Intersect postings, starting with the rarest term.
-  std::vector<std::string> unique(terms.begin(), terms.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  std::sort(unique.begin(), unique.end(), [&](const std::string& a, const std::string& b) {
-    return index_.document_frequency(a) < index_.document_frequency(b);
-  });
-
-  std::vector<DocumentId> result;
-  bool first = true;
-  for (const auto& term : unique) {
-    const auto& plist = index_.postings(term);
-    if (plist.empty()) return {};
-    std::vector<DocumentId> docs_with_term;
-    docs_with_term.reserve(plist.size());
-    for (const Posting& p : plist) docs_with_term.push_back(p.doc);
-    std::sort(docs_with_term.begin(), docs_with_term.end());
-    if (first) {
-      result = std::move(docs_with_term);
-      first = false;
-    } else {
-      std::vector<DocumentId> merged;
-      std::set_intersection(result.begin(), result.end(), docs_with_term.begin(),
-                            docs_with_term.end(), std::back_inserter(merged));
-      result = std::move(merged);
-      if (result.empty()) return {};
-    }
+  // Each term's live documents, ascending; then intersect, rarest first.
+  const auto snap = snapshot();
+  std::vector<std::vector<DocumentId>> lists;
+  lists.reserve(terms.size());
+  for (const auto& term : terms) {
+    std::vector<DocumentId>& docs = lists.emplace_back();
+    snap->for_each_posting(term, [&](std::uint32_t slot, std::uint32_t) {
+      docs.push_back(snap->doc_at_slot(slot));
+    });
+    if (docs.empty()) return {};
+    std::sort(docs.begin(), docs.end());
+  }
+  std::sort(lists.begin(), lists.end(),
+            [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  std::vector<DocumentId> result = std::move(lists.front());
+  for (std::size_t i = 1; i < lists.size() && !result.empty(); ++i) {
+    std::vector<DocumentId> merged;
+    std::set_intersection(result.begin(), result.end(), lists[i].begin(), lists[i].end(),
+                          std::back_inserter(merged));
+    result = std::move(merged);
   }
   return result;
 }

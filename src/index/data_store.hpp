@@ -12,14 +12,24 @@
 #include "index/document.hpp"
 #include "index/epoch_index.hpp"
 #include "index/inverted_index.hpp"
+#include "index/term_dictionary.hpp"
 #include "text/analyzer.hpp"
 
 /// \file data_store.hpp
 /// The per-peer local data store of §2: published XML documents, the local
-/// inverted index over them, and the (counting) Bloom filter summarizing the
-/// index's term set. The plain projection of that filter is what the peer
-/// gossips; a monotonically increasing version number tracks changes so the
+/// index over them, and the (counting) Bloom filter summarizing the index's
+/// term set. The plain projection of that filter is what the peer gossips;
+/// a monotonically increasing version number tracks changes so the
 /// directory can tell stale summaries from fresh ones.
+///
+/// The index of record is the epoch pipeline (epoch_index.hpp): every
+/// commit publishes an immutable EpochSnapshot, and ranking
+/// (search::top_k), conjunctive search and document listing are all served
+/// from it. Each posting is written once, into the commit's segment. Beside
+/// the snapshot the store keeps only what it cannot supply: the interned
+/// term dictionary, each document's exact (TermId, freq) list — for exact
+/// tombstones and counting-filter removal — and per-term live-document
+/// counts, which back num_terms() (the key count the peer gossips).
 ///
 /// Publishing is the store's hot path: text streams through the analyzer's
 /// allocation-free pipeline straight into the interned term dictionary, and
@@ -29,9 +39,8 @@
 /// ThreadPool while committing in document order, so the resulting store is
 /// identical to a sequential publish loop. See docs/INDEX.md.
 ///
-/// Mutation stays single-writer, but every commit also publishes an
-/// immutable EpochSnapshot (epoch_index.hpp): concurrent readers call
-/// snapshot() — thread-safe, a bounded pointer copy — and rank against it while further
+/// Mutation is single-writer. Concurrent readers call snapshot() —
+/// thread-safe, a bounded pointer copy — and rank against it while further
 /// publishes and removals proceed. See docs/INDEX.md "Epochs & concurrent
 /// readers".
 
@@ -55,8 +64,14 @@ class DataStore {
   DocumentId publish_text(std::string_view title, std::string_view body);
 
   /// Publish under a caller-chosen local id (snapshot restore: documents
-  /// must keep their community-visible ids). Throws if the id is taken.
+  /// must keep their community-visible ids). Throws std::invalid_argument
+  /// if the id is taken or is kNoLocalId.
   DocumentId publish_as(std::uint32_t local_id, std::string xml_source);
+
+  /// Reserved local id: never assigned, so next_local_id() can always be
+  /// one past the largest id in use. A store whose next id reaches it has
+  /// exhausted its id space, and publish() throws.
+  static constexpr std::uint32_t kNoLocalId = 0xFFFF'FFFFu;
 
   /// Publish a batch of XML documents. With \p pool, parsing and analysis
   /// run in parallel and results are committed in document order, producing
@@ -88,7 +103,8 @@ class DataStore {
   const Document* document(DocumentId id) const;
 
   /// Documents whose text contains *all* query terms (local exhaustive
-  /// search; terms are analyzed with the same pipeline as documents).
+  /// search; terms are analyzed with the same pipeline as documents),
+  /// ascending. Served from the current snapshot.
   std::vector<DocumentId> search_all_terms(std::string_view query) const;
 
   /// Current Bloom filter (plain projection of the counting filter).
@@ -98,7 +114,13 @@ class DataStore {
   /// set summary.
   std::uint64_t filter_version() const { return filter_version_; }
 
-  const InvertedIndex& index() const { return index_; }
+  /// Distinct terms held by at least one stored document — the key count
+  /// of the term set the Bloom filter summarizes.
+  std::size_t num_terms() const { return num_terms_; }
+
+  /// The store-local term dictionary (append-only; TermIds never leave the
+  /// process, see term_dictionary.hpp).
+  const TermDictionary& dictionary() const { return dict_; }
 
   /// The current published index epoch. Thread-safe against concurrent
   /// publishes/removals (the wait is bounded by a pointer copy); the
@@ -121,7 +143,7 @@ class DataStore {
   std::size_t num_documents() const { return docs_.size(); }
 
   /// All stored documents (ids ascending).
-  std::vector<DocumentId> documents() const { return index_.documents(); }
+  std::vector<DocumentId> documents() const;
 
  private:
   /// Analyzed term counts of one document, pre-aggregated off the store
@@ -133,18 +155,30 @@ class DataStore {
     std::vector<std::pair<std::string, std::uint32_t>> term_counts;
   };
 
+  /// A stored document and its exact postings (first-occurrence order).
+  struct StoredDoc {
+    Document doc;
+    std::vector<std::pair<TermId, std::uint32_t>> terms;
+  };
+
   PreparedDoc prepare(DocumentId id, std::string xml_source) const;
-  void commit_prepared(PreparedDoc&& prepared);
-  /// Streaming index+filter update for an already-parsed document.
-  void index_document(const Document& doc);
+  /// Claim \p id for a new document: throws if it is taken or reserved.
+  void claim_id(DocumentId id, const char* who);
+  /// Analyze \p text into counts_, interning its terms.
+  void count_terms(std::string_view text);
+  /// Commit \p doc with the term counts in counts_: filter, per-term
+  /// document counts, epoch segment, document map, version.
+  void add_document(Document doc);
 
   std::uint32_t peer_id_;
   std::uint32_t next_local_id_ = 0;
   text::Analyzer analyzer_;
-  InvertedIndex index_;
+  TermDictionary dict_;
+  std::vector<std::uint32_t> term_docs_;  ///< live documents per TermId
+  std::size_t num_terms_ = 0;             ///< TermIds with term_docs_ > 0
   bloom::CountingBloomFilter counting_filter_;
   std::uint64_t filter_version_ = 0;
-  std::unordered_map<DocumentId, Document, DocumentIdHash> docs_;
+  std::unordered_map<DocumentId, StoredDoc, DocumentIdHash> docs_;
   /// Reusable analysis buffers (single publish is single-threaded; the
   /// parallel batch path uses per-task scratches instead).
   text::AnalyzerScratch scratch_;

@@ -12,6 +12,14 @@ const IndexSegment::TermEntry* IndexSegment::find(std::string_view term) const {
   return &*it;
 }
 
+std::shared_ptr<const EpochSnapshot> EpochSnapshot::of_base(
+    std::shared_ptr<const CompressedIndex> base) {
+  auto snap = std::make_shared<EpochSnapshot>();
+  snap->num_docs_ = snap->slot_count_ = base->num_documents();
+  snap->base_ = std::move(base);
+  return snap;
+}
+
 std::uint64_t EpochSnapshot::collection_frequency(std::string_view term) const {
   std::uint64_t cf = base_ == nullptr ? 0 : base_->collection_frequency(term);
   for (const auto& seg : segments_) cf += seg->collection_frequency(term);

@@ -19,16 +19,20 @@
 /// peer serve thousands of ranked queries while documents stream in
 /// (docs/INDEX.md "Epochs & concurrent readers").
 ///
-/// The mutable InvertedIndex stays the single-writer write path. Every
-/// DataStore commit (one published/removed document) additionally appends an
-/// immutable delta — a small in-memory IndexSegment, or an EpochTombstone
-/// carrying the removed document's exact term frequencies — and publishes a
-/// new EpochSnapshot: base CompressedIndex + pending segments + pending
-/// tombstones behind one `shared_ptr`. Readers copy the snapshot pointer
-/// (a mutex-guarded two-refcount-op critical section — see snapshot()) and
-/// rank entirely outside any lock; the snapshot pins everything it
-/// needs, so it stays valid (and keeps scoring removed documents) for as
-/// long as any reader holds it, no matter what the writer does next.
+/// The epochs are the store's only index: every DataStore commit (one
+/// published/removed document) appends an immutable delta — a small
+/// in-memory IndexSegment, or an EpochTombstone carrying the removed
+/// document's exact term frequencies — and publishes a new EpochSnapshot:
+/// base CompressedIndex + pending segments + pending tombstones behind one
+/// `shared_ptr`. Ranking, conjunctive search and collection statistics are
+/// served from snapshots; the single writer keeps only what a snapshot
+/// cannot supply (the term dictionary, each document's exact postings for
+/// removals, and per-term live-document counts). Readers copy the snapshot
+/// pointer (a mutex-guarded two-refcount-op critical section — see
+/// snapshot()) and rank entirely outside any lock; the snapshot pins
+/// everything it needs, so it stays valid (and keeps scoring removed
+/// documents) for as long as any reader holds it, no matter what the writer
+/// does next.
 ///
 /// Two folding mechanisms keep per-query segment fan-in logarithmic
 /// (Witten, Moffat & Bell's segment-merge organization, the same reference
@@ -42,9 +46,9 @@
 ///     CompressedIndex, dropping dead postings for good.
 ///
 /// The correctness contract is byte-identity: ranking any EpochSnapshot
-/// (search::score_snapshot / SnapshotRanker) produces bit-for-bit the same
-/// scores, documents, and tie-breaks as ranking a sequential single-threaded
-/// store holding the same documents — regardless of segment layout, merge
+/// (search::top_k) produces bit-for-bit the same scores, documents, and
+/// tie-breaks as ranking a sequential single-threaded InvertedIndex holding
+/// the same documents — regardless of segment layout, merge
 /// timing, or how many removals are still unfolded. The arithmetic argument:
 /// scoring accumulates per-document sums in lexicographic term order on both
 /// paths, collection statistics are exact integers (tombstones carry the
@@ -104,6 +108,12 @@ struct EpochTombstone {
 /// equations need, adjusted exactly for unfolded removals.
 class EpochSnapshot {
  public:
+  /// A snapshot holding \p base (non-null) alone — no segments, no
+  /// tombstones, epoch 0. This is how a standalone CompressedIndex (a
+  /// Builder output or a deserialized PPCI blob) is ranked through
+  /// search::top_k.
+  static std::shared_ptr<const EpochSnapshot> of_base(std::shared_ptr<const CompressedIndex> base);
+
   std::uint64_t epoch() const { return epoch_; }
 
   /// Live documents (postings of removed documents are skipped, exactly as

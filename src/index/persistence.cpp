@@ -28,20 +28,25 @@ std::vector<std::uint8_t> serialize_data_store(const DataStore& store) {
   w.u32(store.peer_id());
   w.u32(store.next_local_id());
 
-  const auto docs = store.documents();
+  // Collect the records first so the count written is the count of
+  // records that follow.
+  std::vector<const Document*> docs;
+  for (const DocumentId& id : store.documents()) {
+    if (const Document* doc = store.document(id)) docs.push_back(doc);
+  }
   w.varint(docs.size());
-  for (const DocumentId& id : docs) {
-    const Document* doc = store.document(id);
-    if (doc == nullptr) continue;  // defensive; documents() is authoritative
-    w.u32(id.local);
+  for (const Document* doc : docs) {
+    w.u32(doc->id.local);
     w.str(doc->xml_source);
   }
   return w.take();
 }
 
-DataStore deserialize_data_store(std::span<const std::uint8_t> bytes,
-                                 bloom::BloomParams bloom_params,
-                                 text::AnalyzerOptions analyzer_opts) {
+namespace {
+
+DataStore deserialize_data_store_impl(std::span<const std::uint8_t> bytes,
+                                      bloom::BloomParams bloom_params,
+                                      text::AnalyzerOptions analyzer_opts) {
   ByteReader r(bytes);
   char magic[4];
   for (char& c : magic) c = static_cast<char>(r.u8());
@@ -57,15 +62,36 @@ DataStore deserialize_data_store(std::span<const std::uint8_t> bytes,
   const std::uint32_t next_local = r.u32();
 
   DataStore store(peer_id, bloom_params, analyzer_opts);
-  const std::size_t count = static_cast<std::size_t>(r.varint());
+  // A record is at least a u32 id and a one-byte length prefix.
+  const std::size_t count = r.count(5);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint32_t local = r.u32();
     store.publish_as(local, r.str());
   }
+  if (!r.done()) throw std::runtime_error("data store snapshot: trailing bytes");
   // Restore the id counter even past gaps left by unpublished documents so
   // post-restore publishes never reuse a previously seen id.
   store.reserve_local_ids(next_local);
   return store;
+}
+
+}  // namespace
+
+DataStore deserialize_data_store(std::span<const std::uint8_t> bytes,
+                                 bloom::BloomParams bloom_params,
+                                 text::AnalyzerOptions analyzer_opts) {
+  // One exception type for every defect: truncation, oversized counts and
+  // duplicated or reserved ids surface from lower layers under their own
+  // types.
+  try {
+    return deserialize_data_store_impl(bytes, bloom_params, analyzer_opts);
+  } catch (const std::out_of_range&) {
+    throw std::runtime_error("data store snapshot: truncated");
+  } catch (const std::overflow_error&) {
+    throw std::runtime_error("data store snapshot: varint overflow");
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("data store snapshot: ") + e.what());
+  }
 }
 
 std::vector<std::uint8_t> serialize_compressed_index(const CompressedIndex& ci) {

@@ -9,8 +9,9 @@
 /// \file persistence.hpp
 /// Durable storage for a peer's local data store. A PlanetP peer that goes
 /// offline keeps its published documents; on restart it reloads them,
-/// rebuilds its inverted index and Bloom filter, and rejoins the community
-/// with the same content (its rejoin rumor re-advertises the filter).
+/// republishes each into a fresh store (term dictionary, epoch index and
+/// Bloom filter), and rejoins the community with the same content (its
+/// rejoin rumor re-advertises the filter).
 ///
 /// Format (versioned, little-endian, ByteWriter framing):
 ///   magic "PPDS" | u32 format version | u32 peer id | u32 next local id |
@@ -62,7 +63,9 @@ CompressedIndex deserialize_compressed_index(std::span<const std::uint8_t> bytes
 std::vector<std::uint8_t> serialize_data_store(const DataStore& store);
 
 /// Reconstruct a data store from serialize_data_store output. Documents keep
-/// their original local ids. Throws std::runtime_error on a bad snapshot.
+/// their original local ids. Throws std::runtime_error on a bad snapshot:
+/// truncated or trailing bytes, a record count larger than the bytes left,
+/// malformed XML, or a duplicated or reserved (DataStore::kNoLocalId) id.
 DataStore deserialize_data_store(std::span<const std::uint8_t> bytes,
                                  bloom::BloomParams bloom_params = {},
                                  text::AnalyzerOptions analyzer_opts = {});

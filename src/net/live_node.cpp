@@ -75,7 +75,7 @@ void LiveNode::start() {
     std::lock_guard<std::mutex> lock(mu_);
     ByteWriter w;
     bloom::encode_filter(w, store_.bloom_filter());
-    const auto key_count = static_cast<std::uint32_t>(store_.index().num_terms());
+    const auto key_count = static_cast<std::uint32_t>(store_.num_terms());
     if (bootstrap_requested_) {
       // Converged start: install everyone quietly, no join rumor. When the
       // seeded records carried a version for ourselves (restart keeping the
@@ -121,7 +121,7 @@ gossip::PeerRecord LiveNode::bootstrap_record(bool include_filter) const {
   r.link_class = gossip::LinkClass::kFast;
   r.version = 1;
   r.online = true;
-  r.key_count = static_cast<std::uint32_t>(store_.index().num_terms());
+  r.key_count = static_cast<std::uint32_t>(store_.num_terms());
   if (include_filter && r.key_count > 0) {
     ByteWriter w;
     bloom::encode_filter(w, store_.bloom_filter());
@@ -312,7 +312,7 @@ void LiveNode::announce_filter_change(std::uint32_t new_keys) {
     bloom::encode_diff(diff_writer, current.diff_from(last_announced_));
     ByteWriter full_writer;
     bloom::encode_filter(full_writer, current);
-    protocol_.local_filter_change(static_cast<std::uint32_t>(store_.index().num_terms()),
+    protocol_.local_filter_change(static_cast<std::uint32_t>(store_.num_terms()),
                                   new_keys, diff_writer.take(), full_writer.take(), 0);
     last_announced_ = current;
   }
@@ -323,9 +323,9 @@ index::DocumentId LiveNode::publish(std::string xml) {
   std::size_t before, after;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    before = store_.index().num_terms();
+    before = store_.num_terms();
     doc = store_.publish(std::move(xml));
-    after = store_.index().num_terms();
+    after = store_.num_terms();
   }
   announce_filter_change(static_cast<std::uint32_t>(after - before));
   return doc;
@@ -361,7 +361,7 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     for (const WeightedTerm& t : req->weights) weights.emplace(t.term, t.weight);
     // Rank lock-free against the published epoch snapshot; mu_ is only taken
     // afterwards for the title lookups.
-    const auto scored = search::score_snapshot(*store_.snapshot(), weights);
+    const auto scored = search::top_k(*store_.snapshot(), weights, search::kAllMatches);
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& d : scored) {
@@ -553,7 +553,7 @@ std::vector<LiveHit> LiveNode::ranked_search(std::string_view query, std::size_t
     if (peer == id_) {
       // Self-evaluation ranks lock-free against the epoch snapshot; mu_
       // guards only the title map.
-      auto docs = search::score_snapshot(*store_.snapshot(), weights);
+      auto docs = search::top_k(*store_.snapshot(), weights, search::kAllMatches);
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& d : docs) {
         const index::Document* doc = store_.document(d.doc);

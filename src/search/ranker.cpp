@@ -34,7 +34,7 @@ constexpr double kBoundSlack = 1.0 + 1e-9;
 /// (which is also the correctness-critical path for tiny corpora).
 constexpr std::uint64_t kMinPrunedPostings = 4 * CompressedIndex::kBlockPostings;
 
-/// Below this many indexed documents the exhaustive compressed arm finishes
+/// Below this many indexed documents the exhaustive snapshot arm finishes
 /// in tens of microseconds, and without direct frequency rows (gated at
 /// CompressedIndex::kDirectMinDocs) the pruned driver's warm-up and survivor
 /// probes cannot recoup themselves; measured break-even is around 1k docs.
@@ -60,8 +60,8 @@ struct PrunedCursor {
   double wub = 0.0;
 };
 
-/// The one place both bounds are derived — every pruned entry point must
-/// build cursors through this so no screen ever sees a defaulted bound.
+/// The one place both bounds are derived — cursors are only ever built
+/// through this, so no screen ever sees a defaulted bound.
 PrunedCursor make_pruned_cursor(CompressedIndex::PostingCursor cur, double weight) {
   const double ub = cur.list_max() * weight * kBoundSlack;
   const double wub = doc_weight(cur.list_max_freq()) * weight * kBoundSlack;
@@ -752,24 +752,6 @@ std::uint64_t build_cursors(const CompressedIndex& ci, RankScratch& s) {
   return total;
 }
 
-/// Exhaustive cursor scoring over a CompressedIndex (the fallback arm):
-/// accumulator array + bounded heap, byte-identical to ci.score + truncate.
-std::vector<ScoredDoc> compressed_exhaustive_top_k(const CompressedIndex& ci, std::size_t k,
-                                                   RankScratch& s) {
-  s.acc.assign(ci.num_documents(), 0.0);
-  s.touched.clear();
-  for (PrunedCursor& c : s.cursors) {
-    for (; !c.cur.done(); c.cur.next()) {
-      const std::uint32_t dense = c.cur.dense();
-      if (s.acc[dense] == 0.0) s.touched.push_back(dense);
-      s.acc[dense] += score_contribution_memo(c.cur.term_freq(), c.weight);
-    }
-  }
-  return select_top_k(s.touched, k, [&](std::uint32_t dense) {
-    return ScoredDoc{ci.doc_at(dense), s.acc[dense] * ci.doc_norm_at(dense)};
-  });
-}
-
 }  // namespace
 
 std::vector<ScoredDoc> score_documents(
@@ -815,8 +797,8 @@ std::unordered_map<std::string, double> TfIdfRanker::idf_weights(
   return weights;
 }
 
-std::vector<ScoredDoc> TfIdfRanker::top_k(const std::vector<std::string>& terms, std::size_t k,
-                                          PruneStats* stats) const {
+std::vector<ScoredDoc> TfIdfRanker::top_k(const std::vector<std::string>& terms,
+                                          std::size_t k) const {
   if (k == 0) return {};
   const InvertedIndex& idx = *index_;
   RankScratch& s = scratch();
@@ -826,37 +808,6 @@ std::vector<ScoredDoc> TfIdfRanker::top_k(const std::vector<std::string>& terms,
   std::sort(s.sorted_terms.begin(), s.sorted_terms.end());
   s.sorted_terms.erase(std::unique(s.sorted_terms.begin(), s.sorted_terms.end()),
                        s.sorted_terms.end());
-
-  if (accel_ != nullptr) {
-    // Pruned path over the accelerator snapshot. IDF inputs come from the
-    // accelerator's statistics — equal to the live index's by the sync
-    // contract — and each term costs one hash probe (the cursor carries cf
-    // and the list bound).
-    const CompressedIndex& ci = *accel_;
-    s.weighted.clear();
-    s.cursors.clear();
-    std::uint64_t total = 0;
-    for (const std::string_view term : s.sorted_terms) {
-      auto cur = ci.postings(term);
-      if (cur.done()) continue;
-      const double weight = idf(ci.num_documents(), cur.collection_freq());
-      if (weight <= 0.0) continue;
-      total += cur.size();
-      s.weighted.emplace_back(term, weight);
-      s.cursors.push_back(make_pruned_cursor(std::move(cur), weight));
-    }
-    if (k >= ci.num_documents() || total < kMinPrunedPostings ||
-        ci.num_documents() < kMinPrunedDocs) {
-      if (stats) ++stats->prune_fallbacks;
-      return compressed_exhaustive_top_k(ci, k, s);
-    }
-    if (stats) ++stats->pruned_queries;
-    s.heap.clear();
-    pruned_base_scan(ci, k, [](index::DocumentId) { return false; }, s, stats);
-    std::vector<ScoredDoc> out(s.heap.begin(), s.heap.end());
-    std::sort(out.begin(), out.end(), ranks_before);
-    return out;
-  }
 
   s.resolved.entries.clear();
   for (const std::string_view term : s.sorted_terms) {
@@ -870,81 +821,26 @@ std::vector<ScoredDoc> TfIdfRanker::top_k(const std::vector<std::string>& terms,
                       [&](std::uint32_t slot) { return scored_at(idx, slot, s.acc[slot]); });
 }
 
-std::vector<ScoredDoc> score_snapshot(
-    const index::EpochSnapshot& snap,
-    const std::unordered_map<std::string, double>& term_weights) {
-  RankScratch& s = scratch();
-  sort_weighted_terms(term_weights, s.weighted);
-  accumulate_snapshot(snap, s.weighted, s.acc, s.touched);
-  std::vector<ScoredDoc> out;
-  out.reserve(s.touched.size());
-  for (const std::uint32_t slot : s.touched) {
-    out.push_back(snapshot_scored_at(snap, slot, s.acc[slot]));
-  }
-  std::sort(out.begin(), out.end(), ranks_before);
-  return out;
-}
-
-std::vector<ScoredDoc> compressed_top_k(const CompressedIndex& ci,
-                                        const std::unordered_map<std::string, double>& term_weights,
-                                        std::size_t k, PruneStats* stats) {
-  if (k == 0) return {};
-  RankScratch& s = scratch();
-  sort_weighted_terms(term_weights, s.weighted);
-  const std::uint64_t total = build_cursors(ci, s);
-  if (k >= ci.num_documents() || total < kMinPrunedPostings ||
-      ci.num_documents() < kMinPrunedDocs) {
-    if (stats) ++stats->prune_fallbacks;
-    return compressed_exhaustive_top_k(ci, k, s);
-  }
-  if (stats) ++stats->pruned_queries;
-  s.heap.clear();
-  pruned_base_scan(ci, k, [](index::DocumentId) { return false; }, s, stats);
-  std::vector<ScoredDoc> out(s.heap.begin(), s.heap.end());
-  std::sort(out.begin(), out.end(), ranks_before);
-  return out;
-}
-
-void SnapshotRanker::idf_weights(const std::vector<std::string>& terms,
-                                 std::unordered_map<std::string, double>& out) const {
+void idf_weights(const index::EpochSnapshot& snap, const std::vector<std::string>& terms,
+                 std::unordered_map<std::string, double>& out) {
   out.clear();
   for (const std::string& t : terms) {
     if (out.contains(t)) continue;
-    out.emplace(t, idf(snap_->num_documents(), snap_->collection_frequency(t)));
+    out.emplace(t, idf(snap.num_documents(), snap.collection_frequency(t)));
   }
 }
 
-std::unordered_map<std::string, double> SnapshotRanker::idf_weights(
-    const std::vector<std::string>& terms) const {
-  std::unordered_map<std::string, double> weights;
-  idf_weights(terms, weights);
-  return weights;
-}
-
-std::vector<ScoredDoc> SnapshotRanker::top_k(const std::vector<std::string>& terms,
-                                             std::size_t k, PruneStats* stats) const {
+std::vector<ScoredDoc> top_k(const index::EpochSnapshot& snap,
+                             const std::unordered_map<std::string, double>& term_weights,
+                             std::size_t k, PruneStats* stats) {
   if (k == 0) return {};
-  const index::EpochSnapshot& snap = *snap_;
   RankScratch& s = scratch();
-  // Same canonical lexicographic order as TfIdfRanker::top_k, with IDF
-  // inputs from the snapshot's exact live statistics.
-  s.sorted_terms.assign(terms.begin(), terms.end());
-  std::sort(s.sorted_terms.begin(), s.sorted_terms.end());
-  s.sorted_terms.erase(std::unique(s.sorted_terms.begin(), s.sorted_terms.end()),
-                       s.sorted_terms.end());
-
-  s.weighted.clear();
-  for (const std::string_view term : s.sorted_terms) {
-    const double weight = idf(snap.num_documents(), snap.collection_frequency(term));
-    if (weight > 0.0) s.weighted.emplace_back(term, weight);
-  }
+  sort_weighted_terms(term_weights, s.weighted);
 
   const CompressedIndex* base = snap.base();
-  std::uint64_t base_postings = 0;
   bool pruned = base != nullptr && k < snap.num_documents();
   if (pruned) {
-    base_postings = build_cursors(*base, s);
-    pruned = base_postings >= kMinPrunedPostings &&
+    pruned = build_cursors(*base, s) >= kMinPrunedPostings &&
              base->num_documents() >= kMinPrunedDocs;
   }
   if (!pruned) {
@@ -952,9 +848,16 @@ std::vector<ScoredDoc> SnapshotRanker::top_k(const std::vector<std::string>& ter
     // whole live corpus, or too few base postings to pay for pruning.
     if (stats) ++stats->prune_fallbacks;
     accumulate_snapshot(snap, s.weighted, s.acc, s.touched);
-    return select_top_k(s.touched, k, [&](std::uint32_t slot) {
+    const auto scored = [&](std::uint32_t slot) {
       return snapshot_scored_at(snap, slot, s.acc[slot]);
-    });
+    };
+    if (k < s.touched.size()) return select_top_k(s.touched, k, scored);
+    // Every match is kept: one sort, no heap (the all-matches remote path).
+    std::vector<ScoredDoc> out;
+    out.reserve(s.touched.size());
+    for (const std::uint32_t slot : s.touched) out.push_back(scored(slot));
+    std::sort(out.begin(), out.end(), ranks_before);
+    return out;
   }
   if (stats) ++stats->pruned_queries;
 

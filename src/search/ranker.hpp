@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,24 +15,30 @@
 /// local evaluation of a remote query (term weights = IPF shipped by the
 /// searcher).
 ///
-/// Scoring follows Witten, Moffat & Bell's accumulator-array organization:
-/// postings carry dense document slots, so per-query work is additions into
-/// a flat double array (no string- or id-keyed hash map), and the top-k path
-/// selects results with a bounded min-heap instead of sorting every matched
-/// document. The heap's tie-break (equal scores -> ascending DocumentId) is
-/// pinned to be byte-identical to the full-sort path.
+/// Every ranked read of a peer's store goes through one entry point,
+/// top_k(snapshot, weights, k): the store's published EpochSnapshot is its
+/// index of record, and a standalone CompressedIndex is ranked through a
+/// base-only snapshot (EpochSnapshot::of_base). Scoring follows Witten,
+/// Moffat & Bell's accumulator-array organization: postings carry dense
+/// document slots, so per-query work is additions into a flat double array,
+/// and results are selected with a bounded min-heap (or, when k covers
+/// every match, one direct sort). The tie-break (equal scores -> ascending
+/// DocumentId) is pinned to be byte-identical to the full-sort path.
 ///
 /// On top of that sits the *pruned* top-k driver (docs/INDEX.md "Block-max
-/// pruning"): when a query runs against a block-structured CompressedIndex
-/// (directly, through a TfIdfRanker accelerator, or as the base of an epoch
-/// snapshot), terms are ordered by score upper bound, a bounded min-heap
-/// maintains the entry threshold, and blocks whose maxima cannot beat the
-/// threshold are skipped outright (MaxScore / Block-Max-WAND). The driver
-/// is rank-safe: its output is byte-identical — scores, documents,
-/// tie-breaks — to exhaustive scoring for every k. Pending epoch segments
-/// and tombstones are handled exactly (segments scored unpruned, tombstoned
-/// documents dropped per candidate), and correctness-critical corner cases
-/// fall back to the exhaustive path.
+/// pruning"): when the snapshot has a block-structured CompressedIndex base,
+/// terms are ordered by score upper bound, a bounded min-heap maintains the
+/// entry threshold, and blocks whose maxima cannot beat the threshold are
+/// skipped outright (MaxScore / Block-Max-WAND). The driver is rank-safe:
+/// its output is byte-identical — scores, documents, tie-breaks — to
+/// exhaustive scoring for every k. Pending epoch segments and tombstones
+/// are handled exactly (segments scored unpruned, tombstoned documents
+/// dropped per candidate), and correctness-critical corner cases fall back
+/// to the exhaustive path.
+///
+/// score_documents and TfIdfRanker rank a mutable InvertedIndex
+/// exhaustively: they are the §7.3 centralized baseline and the oracles the
+/// identity tests compare top_k against.
 
 namespace planetp::search {
 
@@ -75,23 +82,26 @@ std::vector<ScoredDoc> score_documents(
     const index::InvertedIndex& idx,
     const std::unordered_map<std::string, double>& term_weights);
 
-/// Score all live documents of an immutable epoch snapshot — the lock-free
-/// concurrent-reader path (DataStore::snapshot()). Byte-identical to
-/// score_documents over a sequential store holding the same documents: both
-/// accumulate score_contribution in lexicographic term order and tie-break
-/// with ranks_before.
-std::vector<ScoredDoc> score_snapshot(
-    const index::EpochSnapshot& snap,
-    const std::unordered_map<std::string, double>& term_weights);
+/// k that keeps every match (top_k then returns the full ranked list).
+inline constexpr std::size_t kAllMatches = std::numeric_limits<std::size_t>::max();
 
-/// Top-k over a CompressedIndex through the pruned driver. Byte-identical
-/// to `ci.score(term_weights)` + truncate_top_k for every k (the property
-/// test pins this); falls back to exhaustive cursor scoring when pruning
-/// cannot pay off (tiny k·postings, k >= corpus).
-std::vector<ScoredDoc> compressed_top_k(
-    const index::CompressedIndex& ci,
-    const std::unordered_map<std::string, double>& term_weights, std::size_t k,
-    PruneStats* stats = nullptr);
+/// Top-k live documents of \p snap by eq. 2 under \p term_weights (terms
+/// with weight <= 0 are ignored). Byte-identical — scores, documents,
+/// tie-breaks — to score_documents over a sequential InvertedIndex holding
+/// the snapshot's live documents, truncated to k. Runs the pruned block-max
+/// driver over the snapshot's base when that can pay off; otherwise (no
+/// merged base, k >= live documents, too few base postings or documents)
+/// scores exhaustively, counting the query in \p stats as a fallback. With
+/// k >= the number of matches it sorts the matches directly, no heap.
+std::vector<ScoredDoc> top_k(const index::EpochSnapshot& snap,
+                             const std::unordered_map<std::string, double>& term_weights,
+                             std::size_t k, PruneStats* stats = nullptr);
+
+/// IDF weights of the (deduplicated) query terms over the snapshot's exact
+/// live statistics. Fills \p out (cleared; bucket capacity reused across
+/// calls).
+void idf_weights(const index::EpochSnapshot& snap, const std::vector<std::string>& terms,
+                 std::unordered_map<std::string, double>& out);
 
 /// The centralized TFxIDF baseline of §7.3: assumes full knowledge of the
 /// community's merged index, scores with IDF weights and returns the top-k.
@@ -99,13 +109,6 @@ class TfIdfRanker {
  public:
   explicit TfIdfRanker(const index::InvertedIndex& global_index)
       : index_(&global_index) {}
-
-  /// With \p accel — a CompressedIndex snapshot of the same logical content
-  /// (CompressedIndex::build over \p global_index) — top_k runs the pruned
-  /// block-max driver against it. The caller owns keeping the accelerator
-  /// in sync; results stay byte-identical to the exhaustive path.
-  TfIdfRanker(const index::InvertedIndex& global_index, const index::CompressedIndex* accel)
-      : index_(&global_index), accel_(accel) {}
 
   /// IDF weights for the query terms over the global collection.
   std::unordered_map<std::string, double> idf_weights(
@@ -115,42 +118,12 @@ class TfIdfRanker {
   void idf_weights(const std::vector<std::string>& terms,
                    std::unordered_map<std::string, double>& out) const;
 
-  /// Top-k documents by eq. 2. Uses the dense accumulator plus a bounded
-  /// min-heap (or the pruned driver when an accelerator is attached); the
-  /// result is identical to full scoring + truncate_top_k either way.
-  std::vector<ScoredDoc> top_k(const std::vector<std::string>& terms, std::size_t k,
-                               PruneStats* stats = nullptr) const;
+  /// Top-k documents by eq. 2: the dense accumulator plus a bounded
+  /// min-heap, identical to full scoring + truncate_top_k.
+  std::vector<ScoredDoc> top_k(const std::vector<std::string>& terms, std::size_t k) const;
 
  private:
   const index::InvertedIndex* index_;
-  const index::CompressedIndex* accel_ = nullptr;
-};
-
-/// TFxIDF ranking over an immutable epoch snapshot: the concurrent-reader
-/// analogue of TfIdfRanker. IDF inputs come from the snapshot's exact live
-/// statistics, so results are byte-identical (scores, documents, tie-breaks)
-/// to TfIdfRanker over a sequential store with the same documents.
-class SnapshotRanker {
- public:
-  explicit SnapshotRanker(const index::EpochSnapshot& snap) : snap_(&snap) {}
-
-  /// IDF weights for the query terms over the snapshot's live collection.
-  std::unordered_map<std::string, double> idf_weights(
-      const std::vector<std::string>& terms) const;
-  /// Allocation-free variant for query loops (see TfIdfRanker).
-  void idf_weights(const std::vector<std::string>& terms,
-                   std::unordered_map<std::string, double>& out) const;
-
-  /// Top-k documents by eq. 2; bounded min-heap, identical result to full
-  /// scoring + truncate_top_k. When the snapshot has a block-structured
-  /// base, the base is scanned through the pruned block-max driver while
-  /// pending segments are scored exhaustively and tombstoned documents are
-  /// dropped per candidate — rank-safe under live publishes and removals.
-  std::vector<ScoredDoc> top_k(const std::vector<std::string>& terms, std::size_t k,
-                               PruneStats* stats = nullptr) const;
-
- private:
-  const index::EpochSnapshot* snap_;
 };
 
 /// Keep the top-k of a scored list (already sorted descending).

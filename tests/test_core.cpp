@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "bloom/wire.hpp"
+#include "util/byte_buffer.hpp"
+
 namespace planetp::core {
 namespace {
 
@@ -282,6 +290,76 @@ TEST(Community, RendezvousDeduplicatesAgainstImmediateHits) {
   community.set_online(sleeper.id(), true);
   ASSERT_EQ(late.size(), 1u);  // only the sleeper's doc arrives late
   EXPECT_EQ(late[0], "Later");
+}
+
+TEST(Community, AnnouncedFilterBytesMatchTheStoreFilter) {
+  // Every filter change announces the diff against the last announced
+  // filter and the full filter, both encoded from one materialization of
+  // the store's filter. The bytes are pinned against an independent
+  // encoding, and the gossiped key count against the distinct analyzed
+  // terms of the live documents.
+  Community community(small_config(), SyncMode::kGossipStep);
+  Node& a = community.create_node();
+  Node& b = community.create_node();
+  ASSERT_TRUE(community.step_until_converged(30 * kMinute));
+
+  // Diffs b applies, by a's record version. A version can also reach b as
+  // a full record instead (a pull), so not every version shows up here.
+  std::map<std::uint64_t, std::vector<std::uint8_t>> received_diffs;
+  auto forward = b.protocol().hooks().on_apply;
+  b.protocol().hooks().on_apply = [&received_diffs, &a, forward](const gossip::RumorPayload& p,
+                                                                 TimePoint now) {
+    if (p.origin == a.id() && p.filter.has_value() && p.filter->base_version != 0) {
+      received_diffs[p.version] = p.filter->bits;
+    }
+    if (forward) forward(p, now);
+  };
+
+  const std::vector<std::string> bodies = {"arctic terns migrate south",
+                                           "terns nest on arctic islands",
+                                           "puffins share the islands"};
+  std::map<index::DocumentId, std::string> live;
+  std::map<std::uint64_t, std::vector<std::uint8_t>> expected_diffs;
+  bloom::BloomFilter announced = a.store().bloom_filter();
+  const auto check_announcement = [&] {
+    const bloom::BloomFilter current = a.store().bloom_filter();
+    const gossip::PeerRecord* self = a.protocol().directory().find(a.id());
+    ASSERT_NE(self, nullptr);
+    ByteWriter diff;
+    bloom::encode_diff(diff, current.diff_from(announced));
+    expected_diffs[self->version] = diff.take();
+    ByteWriter full;
+    bloom::encode_filter(full, current);
+    EXPECT_EQ(self->filter_wire, full.take());
+    std::set<std::string> terms;
+    for (const auto& [doc, body] : live) {
+      for (std::string& t : a.store().analyzer().analyze(body)) terms.insert(std::move(t));
+    }
+    EXPECT_EQ(self->key_count, terms.size());
+    announced = current;
+  };
+  for (const std::string& body : bodies) {
+    live[a.publish_text("t", body)] = body;
+    check_announcement();
+    ASSERT_TRUE(community.step_until_converged(30 * kMinute));
+  }
+  const index::DocumentId first = live.begin()->first;
+  ASSERT_TRUE(a.unpublish(first));
+  live.erase(first);
+  check_announcement();
+  ASSERT_TRUE(community.step_until_converged(30 * kMinute));
+
+  EXPECT_FALSE(received_diffs.empty());
+  for (const auto& [version, bits] : received_diffs) {
+    ASSERT_TRUE(expected_diffs.contains(version)) << version;
+    EXPECT_EQ(bits, expected_diffs.at(version)) << version;
+  }
+  // And b's converged copy of a's filter is the full wire of a's filter.
+  const gossip::PeerRecord* seen = b.protocol().directory().find(a.id());
+  ASSERT_NE(seen, nullptr);
+  ByteWriter full;
+  bloom::encode_filter(full, a.store().bloom_filter());
+  EXPECT_EQ(seen->filter_wire, full.take());
 }
 
 }  // namespace

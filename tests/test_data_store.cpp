@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -25,29 +28,45 @@ std::vector<std::string> batch_corpus(std::size_t n) {
   return xml;
 }
 
+/// Live postings of \p term in \p store's current snapshot as (doc, freq),
+/// ascending by document.
+std::vector<std::pair<DocumentId, std::uint32_t>> live_postings(const DataStore& store,
+                                                                std::string_view term) {
+  const auto snap = store.snapshot();
+  std::vector<std::pair<DocumentId, std::uint32_t>> out;
+  snap->for_each_posting(term, [&](std::uint32_t slot, std::uint32_t freq) {
+    out.emplace_back(snap->doc_at_slot(slot), freq);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool holds_term(const DataStore& store, std::string_view term) {
+  return !live_postings(store, term).empty();
+}
+
 /// Assert two stores are identical down to the store-local term ids: same
-/// dictionary intern order, same postings per id, same filter and versions.
+/// dictionary intern order, same live postings per term, same filter,
+/// versions and epoch count.
 void expect_identical_stores(const DataStore& a, const DataStore& b) {
   ASSERT_EQ(a.documents(), b.documents());
   EXPECT_EQ(a.next_local_id(), b.next_local_id());
   EXPECT_EQ(a.filter_version(), b.filter_version());
   EXPECT_EQ(a.bloom_filter(), b.bloom_filter());
+  EXPECT_EQ(a.num_terms(), b.num_terms());
+  EXPECT_EQ(a.snapshot()->epoch(), b.snapshot()->epoch());
 
-  const TermDictionary& da = a.index().dictionary();
-  const TermDictionary& db = b.index().dictionary();
+  const TermDictionary& da = a.dictionary();
+  const TermDictionary& db = b.dictionary();
   ASSERT_EQ(da.size(), db.size());
   for (TermId id = 0; id < da.size(); ++id) {
     EXPECT_EQ(da.term(id), db.term(id)) << "id " << id;
-    EXPECT_EQ(a.index().postings_by_id(id), b.index().postings_by_id(id))
-        << da.term(id);
-    EXPECT_EQ(a.index().posting_slots(id), b.index().posting_slots(id))
-        << da.term(id);
-    EXPECT_EQ(a.index().collection_frequency_by_id(id),
-              b.index().collection_frequency_by_id(id))
+    EXPECT_EQ(live_postings(a, da.term(id)), live_postings(b, db.term(id))) << da.term(id);
+    EXPECT_EQ(a.snapshot()->collection_frequency(da.term(id)),
+              b.snapshot()->collection_frequency(db.term(id)))
         << da.term(id);
   }
   for (const DocumentId& id : a.documents()) {
-    EXPECT_EQ(a.index().document_length(id), b.index().document_length(id));
     ASSERT_NE(b.document(id), nullptr);
     EXPECT_EQ(a.document(id)->title, b.document(id)->title);
   }
@@ -64,9 +83,9 @@ TEST(DataStore, PublishIndexesText) {
   EXPECT_EQ(doc->title, "Doc One");
 
   // Terms are analyzed (stemmed): "protocols" -> "protocol".
-  EXPECT_TRUE(store.index().contains_term("gossip"));
-  EXPECT_TRUE(store.index().contains_term("protocol"));
-  EXPECT_FALSE(store.index().contains_term("the"));
+  EXPECT_TRUE(holds_term(store, "gossip"));
+  EXPECT_TRUE(holds_term(store, "protocol"));
+  EXPECT_FALSE(holds_term(store, "the"));
 }
 
 TEST(DataStore, BloomFilterCoversTerms) {
@@ -99,13 +118,13 @@ TEST(DataStore, SearchAllTermsIsConjunctive) {
 TEST(DataStore, UnpublishRemovesEverywhere) {
   DataStore store(1);
   const auto id = store.publish_text("doomed", "unique zanzibar marker");
-  EXPECT_TRUE(store.index().contains_term("zanzibar"));
+  EXPECT_TRUE(holds_term(store, "zanzibar"));
   EXPECT_TRUE(store.bloom_filter().contains("zanzibar"));
 
   EXPECT_TRUE(store.unpublish(id));
   EXPECT_FALSE(store.unpublish(id));
   EXPECT_EQ(store.document(id), nullptr);
-  EXPECT_FALSE(store.index().contains_term("zanzibar"));
+  EXPECT_FALSE(holds_term(store, "zanzibar"));
   EXPECT_FALSE(store.bloom_filter().contains("zanzibar"));
 }
 
@@ -115,7 +134,7 @@ TEST(DataStore, SharedTermsSurviveUnpublish) {
   store.publish_text("b", "shared quokka elsewhere");
   store.unpublish(d1);
   EXPECT_TRUE(store.bloom_filter().contains("quokka"));
-  EXPECT_TRUE(store.index().contains_term("quokka"));
+  EXPECT_TRUE(holds_term(store, "quokka"));
 }
 
 TEST(DataStore, FilterVersionIncrements) {
@@ -243,7 +262,41 @@ TEST(DataStore, ParallelPublishEmptyAndTinyBatches) {
   const auto one = store.publish_batch({wrap_text_as_xml("solo", "lone wolverine")}, &pool);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(store.num_documents(), 1u);
-  EXPECT_TRUE(store.index().contains_term("wolverin"));
+  EXPECT_TRUE(holds_term(store, "wolverin"));
+}
+
+TEST(DataStore, NumTermsCountsLiveTerms) {
+  DataStore store(1);
+  EXPECT_EQ(store.num_terms(), 0u);
+  const auto a = store.publish_text("a", "quokka wombat");
+  EXPECT_EQ(store.num_terms(), 2u);
+  const auto b = store.publish_text("b", "quokka numbat");
+  EXPECT_EQ(store.num_terms(), 3u);
+  store.unpublish(a);  // "wombat" loses its only document
+  EXPECT_EQ(store.num_terms(), 2u);
+  store.republish(b, wrap_text_as_xml("b", "bilby"));
+  EXPECT_EQ(store.num_terms(), 1u);
+  store.unpublish(b);
+  EXPECT_EQ(store.num_terms(), 0u);
+  // The dictionary keeps every term ever interned; num_terms() does not.
+  EXPECT_EQ(store.dictionary().size(), 4u);
+}
+
+TEST(DataStore, ParallelPublishStopsAtExhaustedIdSpace) {
+  // A batch that runs past the last assignable id stops where a sequential
+  // loop does: the ids that fit are committed, the next publish throws.
+  ThreadPool pool(2);
+  const auto corpus = batch_corpus(4);
+  DataStore store(4);
+  store.publish_as(DataStore::kNoLocalId - 3, corpus[0]);
+  EXPECT_THROW(store.publish_batch(corpus, &pool), std::invalid_argument);
+  EXPECT_EQ(store.num_documents(), 3u);
+  EXPECT_EQ(store.next_local_id(), DataStore::kNoLocalId);
+
+  DataStore sequential(4);
+  sequential.publish_as(DataStore::kNoLocalId - 3, corpus[0]);
+  EXPECT_THROW(sequential.publish_batch(corpus, nullptr), std::invalid_argument);
+  expect_identical_stores(sequential, store);
 }
 
 }  // namespace

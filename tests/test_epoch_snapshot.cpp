@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -10,7 +13,9 @@
 #include <vector>
 
 #include "index/data_store.hpp"
+#include "index/persistence.hpp"
 #include "search/ranker.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace planetp;
 using namespace planetp::index;
@@ -54,55 +59,107 @@ void expect_identical_ranking(const std::vector<ScoredDoc>& snapshot_ranked,
   }
 }
 
-/// The sequential single-threaded oracle: a fresh store holding exactly the
-/// live documents, published one by one. The headline contract says every
-/// published epoch must rank byte-identically to this.
-DataStore make_oracle(const std::unordered_map<std::uint32_t, std::string>& live_docs) {
-  DataStore oracle(kPeer);
-  // Ascending local id: any order gives identical scores (per-document sums
-  // accumulate in lexicographic term order on every path), but a fixed one
-  // keeps the oracle itself deterministic.
+/// TFxIDF top-k over a snapshot: IDF weights from its live statistics.
+std::vector<ScoredDoc> idf_top_k(const EpochSnapshot& snap, const std::vector<std::string>& terms,
+                                 std::size_t k) {
+  std::unordered_map<std::string, double> weights;
+  idf_weights(snap, terms, weights);
+  return top_k(snap, weights, k);
+}
+
+/// The independent sequential oracle: a plain InvertedIndex fed the
+/// analyzer's term counts of every live document — no DataStore code on
+/// this side. The headline contract says every published epoch must rank
+/// byte-identically to it.
+struct Oracle {
+  text::Analyzer analyzer;
+  InvertedIndex index;
+
+  void add(DocumentId id, const std::string& xml) {
+    index.add_document(id, analyzer.term_frequencies(make_document(id, xml).text));
+  }
+  void remove(DocumentId id) { ASSERT_TRUE(index.remove_document(id)); }
+
+  /// The Bloom filter a store holding exactly these documents must gossip.
+  bloom::BloomFilter filter() const {
+    bloom::BloomFilter f{bloom::BloomParams{}};
+    index.for_each_term([&f](const std::string& term) { f.insert(term); });
+    return f;
+  }
+
+  /// Conjunctive search by posting-list intersection, ascending.
+  std::vector<DocumentId> search_all_terms(std::string_view query) const {
+    std::vector<DocumentId> result;
+    bool first = true;
+    for (const std::string& term : analyzer.analyze(query)) {
+      std::vector<DocumentId> docs;
+      for (const Posting& p : index.postings(term)) docs.push_back(p.doc);
+      std::sort(docs.begin(), docs.end());
+      if (first) {
+        result = std::move(docs);
+        first = false;
+        continue;
+      }
+      std::vector<DocumentId> both;
+      std::set_intersection(result.begin(), result.end(), docs.begin(), docs.end(),
+                            std::back_inserter(both));
+      result = std::move(both);
+    }
+    return result;
+  }
+};
+
+/// An oracle over \p live_docs (local id -> xml), added in ascending id
+/// order: any order gives identical scores (per-document sums accumulate in
+/// lexicographic term order on every path), but a fixed one keeps the
+/// oracle itself deterministic.
+std::unique_ptr<Oracle> make_oracle(const std::unordered_map<std::uint32_t, std::string>& live_docs) {
+  auto oracle = std::make_unique<Oracle>();
   std::vector<std::uint32_t> ids;
   ids.reserve(live_docs.size());
   for (const auto& [local, xml] : live_docs) ids.push_back(local);
   std::sort(ids.begin(), ids.end());
-  for (const std::uint32_t local : ids) oracle.publish_as(local, live_docs.at(local));
+  for (const std::uint32_t local : ids) oracle->add(DocumentId{kPeer, local}, live_docs.at(local));
   return oracle;
 }
 
-void verify_epoch_against_oracle(const DataStore& store,
-                                 const std::unordered_map<std::uint32_t, std::string>& live_docs,
+/// Everything a store answers, against the oracle: document listing, live
+/// term count, filter bits, sampled conjunctive searches, IDF weights, top-k
+/// and the full ranking (top_k with k = all vs score_documents).
+void verify_store_against_oracle(const DataStore& store, const Oracle& oracle,
                                  std::mt19937_64& rng) {
-  const auto snap = store.snapshot();
-  const DataStore oracle = make_oracle(live_docs);
-  ASSERT_EQ(snap->num_documents(), oracle.num_documents());
+  ASSERT_EQ(store.documents(), oracle.index.documents());
+  ASSERT_EQ(store.num_documents(), oracle.index.num_documents());
+  EXPECT_EQ(store.num_terms(), oracle.index.num_terms());
+  EXPECT_EQ(store.bloom_filter(), oracle.filter());
 
+  const auto snap = store.snapshot();
+  ASSERT_EQ(snap->num_documents(), oracle.index.num_documents());
+  const TfIdfRanker oracle_ranker(oracle.index);
+  std::unordered_map<std::string, double> weights;
   // A handful of random queries per verification, mixing 1-3 vocabulary
-  // terms, ranked both top-k and full.
+  // terms, searched conjunctively and ranked both top-k and full.
   for (int q = 0; q < 4; ++q) {
     std::string query(kVocab[rng() % kVocabSize]);
     if (rng() % 2 == 0) query += std::string(" ") + kVocab[rng() % kVocabSize];
     if (rng() % 3 == 0) query += std::string(" ") + kVocab[rng() % kVocabSize];
+    EXPECT_EQ(store.search_all_terms(query), oracle.search_all_terms(query)) << query;
+
     const std::vector<std::string> terms = analyzed(store, query);
     const std::size_t k = 1 + rng() % 8;
-
-    const SnapshotRanker snap_ranker(*snap);
-    const TfIdfRanker oracle_ranker(oracle.index());
-    expect_identical_ranking(snap_ranker.top_k(terms, k), oracle_ranker.top_k(terms, k));
-
-    // Full scoring with the oracle's own IDF weights must agree bitwise too
-    // (the snapshot's exact statistics are what makes the weights equal).
-    const auto weights = oracle_ranker.idf_weights(terms);
-    const auto snap_weights = snap_ranker.idf_weights(terms);
-    ASSERT_EQ(weights.size(), snap_weights.size());
-    for (const auto& [term, w] : weights) {
-      auto it = snap_weights.find(term);
-      ASSERT_NE(it, snap_weights.end()) << term;
+    // The snapshot's exact statistics are what makes the weights equal.
+    idf_weights(*snap, terms, weights);
+    const auto oracle_weights = oracle_ranker.idf_weights(terms);
+    ASSERT_EQ(weights.size(), oracle_weights.size());
+    for (const auto& [term, w] : oracle_weights) {
+      auto it = weights.find(term);
+      ASSERT_NE(it, weights.end()) << term;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(w), std::bit_cast<std::uint64_t>(it->second))
           << term;
     }
-    expect_identical_ranking(score_snapshot(*snap, weights),
-                             score_documents(oracle.index(), weights));
+    expect_identical_ranking(top_k(*snap, weights, k), oracle_ranker.top_k(terms, k));
+    expect_identical_ranking(top_k(*snap, weights, kAllMatches),
+                             score_documents(oracle.index, weights));
   }
 }
 
@@ -123,46 +180,71 @@ TEST(EpochSnapshot, RandomizedOpsMatchSequentialOracle) {
   cfg.merge_base_fraction = 0.5;
   cfg.merge_tombstone_threshold = 5;
   DataStore store(kPeer, {}, {}, cfg);
+  ThreadPool pool(2);
 
   std::mt19937_64 rng(0xEA0C5EEDULL);
-  std::unordered_map<std::uint32_t, std::string> live_docs;  // local id -> xml
+  Oracle oracle;
+  std::vector<std::uint32_t> live;  // local ids
+  const auto pick_live = [&]() -> std::uint32_t { return live[rng() % live.size()]; };
+  const auto make_batch = [&](int step) {
+    std::vector<std::string> batch;
+    const std::size_t n = 2 + rng() % 3;
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push_back(wrap_text_as_xml("batch" + std::to_string(step) + "_" + std::to_string(i),
+                                       make_body(rng, 4 + rng() % 12)));
+    }
+    return batch;
+  };
+  std::size_t reloads = 0;
 
-  for (int step = 0; step < 120; ++step) {
+  for (int step = 0; step < 160; ++step) {
     const std::uint64_t op = rng() % 10;
-    if (op < 5 || live_docs.empty()) {
+    if (op < 4 || live.empty()) {
       // publish one document
       const std::string xml =
           wrap_text_as_xml("doc" + std::to_string(step), make_body(rng, 4 + rng() % 12));
       const DocumentId id = store.publish(std::string(xml));
-      live_docs[id.local] = xml;
-    } else if (op < 7) {
-      // publish a small batch (sequential fallback path)
-      std::vector<std::string> batch;
-      const std::size_t n = 2 + rng() % 3;
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(wrap_text_as_xml("batch" + std::to_string(step) + "_" + std::to_string(i),
-                                         make_body(rng, 4 + rng() % 12)));
-      }
-      std::vector<std::string> copies = batch;
-      const std::vector<DocumentId> ids = store.publish_batch(std::move(copies));
+      oracle.add(id, xml);
+      live.push_back(id.local);
+    } else if (op < 6) {
+      // publish a small batch: sequential fallback or parsed on the pool
+      const std::vector<std::string> batch = make_batch(step);
+      const std::vector<DocumentId> ids =
+          store.publish_batch(batch, op == 4 ? nullptr : &pool);
       ASSERT_EQ(ids.size(), batch.size());
-      for (std::size_t i = 0; i < ids.size(); ++i) live_docs[ids[i].local] = batch[i];
-    } else {
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        oracle.add(ids[i], batch[i]);
+        live.push_back(ids[i].local);
+      }
+    } else if (op < 8) {
       // remove a random live document
-      std::vector<std::uint32_t> ids;
-      ids.reserve(live_docs.size());
-      for (const auto& [local, xml] : live_docs) ids.push_back(local);
-      const std::uint32_t victim = ids[rng() % ids.size()];
+      const std::uint32_t victim = pick_live();
       ASSERT_TRUE(store.unpublish(DocumentId{kPeer, victim}));
-      live_docs.erase(victim);
+      oracle.remove(DocumentId{kPeer, victim});
+      live.erase(std::find(live.begin(), live.end(), victim));
+    } else if (op < 9) {
+      // replace a random live document's content in place
+      const DocumentId id{kPeer, pick_live()};
+      const std::string xml =
+          wrap_text_as_xml("re" + std::to_string(step), make_body(rng, 4 + rng() % 12));
+      ASSERT_TRUE(store.republish(id, xml));
+      oracle.remove(id);
+      oracle.add(id, xml);
+    } else {
+      // save/load: the restored store must answer exactly as the live one
+      // (the trace continues on the live store, keeping its tiny-threshold
+      // merge configuration).
+      const DataStore restored = deserialize_data_store(serialize_data_store(store));
+      EXPECT_EQ(restored.next_local_id(), store.next_local_id());
+      verify_store_against_oracle(restored, oracle, rng);
+      ++reloads;
     }
-    if (step % 3 == 0) {
-      verify_epoch_against_oracle(store, live_docs, rng);
-    }
+    verify_store_against_oracle(store, oracle, rng);
   }
-  verify_epoch_against_oracle(store, live_docs, rng);
 
-  // The run must actually have exercised the folding machinery.
+  // The run must actually have exercised every operation and the folding
+  // machinery.
+  EXPECT_GT(reloads, 0u);
   const EpochStats stats = store.epochs().stats();
   EXPECT_GT(stats.coalesces, 0u);
   EXPECT_GT(stats.merges_completed, 0u);
@@ -242,14 +324,14 @@ TEST(EpochSnapshot, ReaderHoldingOldSnapshotStillScoresRemovedDocument) {
 
   const auto before = store.snapshot();
   const std::vector<std::string> terms = analyzed(store, "alpha");
-  const auto ranked_before = SnapshotRanker(*before).top_k(terms, 10);
+  const auto ranked_before = idf_top_k(*before, terms, 10);
   ASSERT_EQ(ranked_before.size(), 2u);
 
   // The removal must not be visible mid-epoch: a reader that pinned the old
   // snapshot keeps scoring the removed document, bit-for-bit unchanged,
   // until it drops the snapshot.
   ASSERT_TRUE(store.unpublish(removed));
-  const auto ranked_after = SnapshotRanker(*before).top_k(terms, 10);
+  const auto ranked_after = idf_top_k(*before, terms, 10);
   expect_identical_ranking(ranked_after, ranked_before);
   EXPECT_EQ(before->num_documents(), 2u);
 
@@ -257,13 +339,13 @@ TEST(EpochSnapshot, ReaderHoldingOldSnapshotStillScoresRemovedDocument) {
   // byte-identical to a store that never held the document.
   const auto after = store.snapshot();
   EXPECT_EQ(after->num_documents(), 1u);
-  const auto ranked_new = SnapshotRanker(*after).top_k(terms, 10);
+  const auto ranked_new = idf_top_k(*after, terms, 10);
   ASSERT_EQ(ranked_new.size(), 1u);
   EXPECT_EQ(ranked_new[0].doc, kept);
 
-  DataStore oracle(kPeer);
-  oracle.publish_as(kept.local, wrap_text_as_xml("kept", "alpha beta alpha"));
-  expect_identical_ranking(ranked_new, TfIdfRanker(oracle.index()).top_k(terms, 10));
+  Oracle oracle;
+  oracle.add(kept, wrap_text_as_xml("kept", "alpha beta alpha"));
+  expect_identical_ranking(ranked_new, TfIdfRanker(oracle.index).top_k(terms, 10));
 }
 
 // ---------------------------------------------------------------------------
@@ -327,7 +409,7 @@ TEST(MixedWorkloadStress, ConcurrentReadersSeeConsistentEpochs) {
         ASSERT_EQ(snap->num_documents(), expected_docs[epoch]);
 
         // And rank: exercises the full snapshot scoring path under TSan.
-        const auto ranked = SnapshotRanker(*snap).top_k(mixed_terms, 10);
+        const auto ranked = idf_top_k(*snap, mixed_terms, 10);
         for (std::size_t i = 1; i < ranked.size(); ++i) {
           ASSERT_TRUE(ranks_before(ranked[i - 1], ranked[i]));
         }
@@ -380,10 +462,12 @@ TEST(MixedWorkloadStress, ConcurrentReadersSeeConsistentEpochs) {
   EXPECT_EQ(final_snap->num_documents(), live_docs.size());
   EXPECT_GT(store.epochs().stats().merges_completed, 0u);
 
-  const DataStore oracle = make_oracle(live_docs);
+  const auto oracle = make_oracle(live_docs);
+  std::unordered_map<std::string, double> weights;
   for (const char* word : kVocab) {
     const std::vector<std::string> terms = analyzed(store, std::string(word) + " zmarkerz");
-    expect_identical_ranking(SnapshotRanker(*final_snap).top_k(terms, 20),
-                             TfIdfRanker(oracle.index()).top_k(terms, 20));
+    idf_weights(*final_snap, terms, weights);
+    expect_identical_ranking(top_k(*final_snap, weights, 20),
+                             TfIdfRanker(oracle->index).top_k(terms, 20));
   }
 }

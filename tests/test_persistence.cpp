@@ -10,11 +10,36 @@
 #include <unordered_map>
 
 #include "index/compressed_postings.hpp"
+#include "util/byte_buffer.hpp"
 
 namespace planetp::index {
 namespace {
 
 bloom::BloomParams small_bloom() { return bloom::BloomParams{65536, 2}; }
+
+/// Live postings of \p term in \p store's current snapshot as (doc, freq),
+/// ascending by document.
+std::vector<std::pair<DocumentId, std::uint32_t>> live_postings(const DataStore& store,
+                                                                std::string_view term) {
+  const auto snap = store.snapshot();
+  std::vector<std::pair<DocumentId, std::uint32_t>> out;
+  snap->for_each_posting(term, [&](std::uint32_t slot, std::uint32_t freq) {
+    out.emplace_back(snap->doc_at_slot(slot), freq);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every interned term some live document still holds, sorted.
+std::vector<std::string> live_terms(const DataStore& store) {
+  std::vector<std::string> out;
+  const TermDictionary& dict = store.dictionary();
+  for (TermId id = 0; id < dict.size(); ++id) {
+    if (!live_postings(store, dict.term(id)).empty()) out.emplace_back(dict.term(id));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 DataStore make_store() {
   DataStore store(7, small_bloom());
@@ -131,29 +156,23 @@ TEST(Persistence, TermIdsAreStoreLocalAndNotSerialized) {
 
   // String-level equality: same term set, same statistics, same postings,
   // same Bloom filter.
-  std::vector<std::string> orig_terms, rest_terms;
-  store.index().for_each_term([&](const std::string& t) { orig_terms.push_back(t); });
-  restored.index().for_each_term([&](const std::string& t) { rest_terms.push_back(t); });
-  std::sort(orig_terms.begin(), orig_terms.end());
-  std::sort(rest_terms.begin(), rest_terms.end());
-  ASSERT_EQ(orig_terms, rest_terms);
+  EXPECT_EQ(restored.num_terms(), store.num_terms());
+  const std::vector<std::string> orig_terms = live_terms(store);
+  ASSERT_EQ(live_terms(restored), orig_terms);
+  ASSERT_EQ(orig_terms.size(), store.num_terms());
+  const auto orig_snap = store.snapshot();
+  const auto rest_snap = restored.snapshot();
   for (const std::string& t : orig_terms) {
-    EXPECT_EQ(restored.index().collection_frequency(t), store.index().collection_frequency(t)) << t;
-    EXPECT_EQ(restored.index().document_frequency(t), store.index().document_frequency(t)) << t;
-    auto a = store.index().postings(t);
-    auto b = restored.index().postings(t);
-    const auto by_doc = [](const Posting& x, const Posting& y) { return x.doc < y.doc; };
-    std::sort(a.begin(), a.end(), by_doc);
-    std::sort(b.begin(), b.end(), by_doc);
-    EXPECT_EQ(a, b) << t;
+    EXPECT_EQ(rest_snap->collection_frequency(t), orig_snap->collection_frequency(t)) << t;
+    EXPECT_EQ(live_postings(restored, t), live_postings(store, t)) << t;
   }
   EXPECT_EQ(restored.bloom_filter(), store.bloom_filter());
 
   // ...while the ids themselves genuinely differ: "zebra" was the very first
   // term interned originally, but the restore interns "second"'s terms
   // before re-encountering it. Ids are store-local bookkeeping only.
-  const TermId before = store.index().term_id("zebra");
-  const TermId after = restored.index().term_id("zebra");
+  const TermId before = store.dictionary().find("zebra");
+  const TermId after = restored.dictionary().find("zebra");
   ASSERT_NE(before, kInvalidTermId);
   ASSERT_NE(after, kInvalidTermId);
   EXPECT_EQ(before, 0u);
@@ -168,6 +187,117 @@ TEST(Persistence, PublishAsRejectsDuplicates) {
   // And the counter advanced past the explicit id.
   const DocumentId next = store.publish_text("auto", "more");
   EXPECT_EQ(next.local, 6u);
+}
+
+/// A hand-built "PPDS" snapshot: header plus \p records (local id, XML),
+/// under a declared record count of \p count.
+std::vector<std::uint8_t> crafted_snapshot(
+    std::uint32_t next_local, std::size_t count,
+    const std::vector<std::pair<std::uint32_t, std::string>>& records) {
+  ByteWriter w;
+  for (const char c : {'P', 'P', 'D', 'S'}) w.u8(static_cast<std::uint8_t>(c));
+  w.u32(kDataStoreFormatVersion);
+  w.u32(7);  // peer id
+  w.u32(next_local);
+  w.varint(count);
+  for (const auto& [local, xml] : records) {
+    w.u32(local);
+    w.str(xml);
+  }
+  return w.take();
+}
+
+TEST(Persistence, CraftedSnapshotRoundtripsAsWritten) {
+  // The crafting helper matches the real format, so the rejections below
+  // test the defects, not the helper.
+  const std::vector<std::pair<std::uint32_t, std::string>> records = {
+      {0, wrap_text_as_xml("a", "alpha")}, {4, wrap_text_as_xml("b", "beta")}};
+  const auto bytes = crafted_snapshot(9, records.size(), records);
+  const DataStore restored = deserialize_data_store(bytes, small_bloom());
+  EXPECT_EQ(restored.num_documents(), 2u);
+  EXPECT_EQ(restored.next_local_id(), 9u);
+  EXPECT_EQ(serialize_data_store(restored), bytes);
+}
+
+TEST(Persistence, CraftedDuplicateIdThrowsRuntimeError) {
+  const auto bytes = crafted_snapshot(
+      2, 2, {{1, wrap_text_as_xml("a", "alpha")}, {1, wrap_text_as_xml("b", "beta")}});
+  EXPECT_THROW(deserialize_data_store(bytes, small_bloom()), std::runtime_error);
+}
+
+TEST(Persistence, CraftedReservedIdThrowsRuntimeError) {
+  const auto bytes =
+      crafted_snapshot(0, 1, {{DataStore::kNoLocalId, wrap_text_as_xml("a", "alpha")}});
+  EXPECT_THROW(deserialize_data_store(bytes, small_bloom()), std::runtime_error);
+}
+
+TEST(Persistence, CraftedRecordCountMismatchThrowsRuntimeError) {
+  const std::vector<std::pair<std::uint32_t, std::string>> records = {
+      {0, wrap_text_as_xml("a", "alpha")}, {1, wrap_text_as_xml("b", "beta")}};
+  // More records declared than present, fewer (trailing bytes), and a count
+  // no byte budget could hold.
+  EXPECT_THROW(deserialize_data_store(crafted_snapshot(2, 3, records), small_bloom()),
+               std::runtime_error);
+  EXPECT_THROW(deserialize_data_store(crafted_snapshot(2, 1, records), small_bloom()),
+               std::runtime_error);
+  EXPECT_THROW(deserialize_data_store(crafted_snapshot(2, 1ull << 40, records), small_bloom()),
+               std::runtime_error);
+}
+
+TEST(Persistence, CraftedMalformedXmlThrowsRuntimeError) {
+  const auto bytes = crafted_snapshot(1, 1, {{0, "<doc><title>unclosed"}});
+  EXPECT_THROW(deserialize_data_store(bytes, small_bloom()), std::runtime_error);
+}
+
+TEST(Persistence, TruncatedAtEveryByteThrowsRuntimeError) {
+  const auto bytes = serialize_data_store(make_store());
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const std::span<const std::uint8_t> prefix(bytes.data(), n);
+    EXPECT_THROW(deserialize_data_store(prefix, small_bloom()), std::runtime_error) << n;
+  }
+}
+
+TEST(Persistence, RecordCountMatchesRecordsAfterRemovals) {
+  DataStore store(1, small_bloom());
+  std::vector<DocumentId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(store.publish_text("d" + std::to_string(i), "word" + std::to_string(i)));
+  }
+  store.unpublish(ids[1]);
+  store.unpublish(ids[4]);
+  const auto bytes = serialize_data_store(store);
+  ByteReader r(bytes);
+  for (int i = 0; i < 4; ++i) r.u8();  // magic
+  r.u32();                             // version
+  r.u32();                             // peer id
+  EXPECT_EQ(r.u32(), 6u);              // next local id
+  const std::uint64_t count = r.varint();
+  EXPECT_EQ(count, 4u);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    r.u32();
+    r.str();
+  }
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Persistence, ReservedIdNeverWrapsTheCounter) {
+  DataStore store(1, small_bloom());
+  EXPECT_THROW(store.publish_as(DataStore::kNoLocalId, wrap_text_as_xml("x", "content")),
+               std::invalid_argument);
+  EXPECT_EQ(store.num_documents(), 0u);
+  EXPECT_EQ(store.next_local_id(), 0u);
+
+  // The last assignable id moves the counter to the reserved value; the id
+  // space is then exhausted instead of wrapping back to 0.
+  const DocumentId last = store.publish_as(DataStore::kNoLocalId - 1, wrap_text_as_xml("l", "x"));
+  EXPECT_EQ(store.next_local_id(), DataStore::kNoLocalId);
+  EXPECT_THROW(store.publish_text("next", "content"), std::invalid_argument);
+  EXPECT_EQ(store.num_documents(), 1u);
+  ASSERT_NE(store.document(last), nullptr);
+
+  // And the exhausted counter survives a round trip.
+  const DataStore restored = deserialize_data_store(serialize_data_store(store), small_bloom());
+  EXPECT_EQ(restored.next_local_id(), DataStore::kNoLocalId);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -20,10 +21,12 @@
 /// Rank-safety property tests for the block-max pruned top-k driver
 /// (docs/INDEX.md "Block-max pruning"). The contract under test: for every k,
 /// the pruned result is byte-identical — same documents, same score BITS,
-/// same tie-breaks — to exhaustive scoring, across all three entry points
-/// (compressed_top_k, TfIdfRanker with an accelerator, SnapshotRanker over
-/// live epochs with tombstones and unmerged segments). The large cases also
-/// pin blocks_skipped > 0 so the pruning provably fired.
+/// same tie-breaks — to exhaustive scoring, for search::top_k over every
+/// kind of snapshot: a base-only snapshot of a CompressedIndex (against
+/// CompressedIndex::score and against the §7.3 TfIdfRanker over the source
+/// InvertedIndex), and live store epochs with tombstones and unmerged
+/// segments. The large cases also pin blocks_skipped > 0 so the pruning
+/// provably fired.
 
 using namespace planetp;
 using namespace planetp::index;
@@ -83,8 +86,8 @@ std::unordered_map<std::string, double> idf_weights_for(const CompressedIndex& c
   return weights;
 }
 
-/// The exhaustive reference: full scoring + truncate. compressed_top_k is
-/// pinned byte-identical to this for every k.
+/// The exhaustive reference: full scoring + truncate. top_k over a base-only
+/// snapshot is pinned byte-identical to this for every k.
 std::vector<ScoredDoc> exhaustive_ref(const CompressedIndex& ci,
                                       const std::unordered_map<std::string, double>& weights,
                                       std::size_t k) {
@@ -97,13 +100,22 @@ std::vector<ScoredDoc> exhaustive_ref(const CompressedIndex& ci,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Entry point 1: compressed_top_k vs CompressedIndex::score
+// A base-only snapshot vs CompressedIndex::score
 // ---------------------------------------------------------------------------
+
+namespace {
+
+std::shared_ptr<const EpochSnapshot> base_only(const InvertedIndex& src) {
+  return EpochSnapshot::of_base(std::make_shared<const CompressedIndex>(CompressedIndex::build(src)));
+}
+
+}  // namespace
 
 TEST(PrunedTopK, CompressedTopKBitIdenticalToExhaustive) {
   Rng rng(0xB10C);
   const InvertedIndex src = zipf_index(rng, 6000, 800, 25);
-  const CompressedIndex ci = CompressedIndex::build(src);
+  const auto snap = base_only(src);
+  const CompressedIndex& ci = *snap->base();
   const ZipfSampler zipf(800, 1.1);
 
   PruneStats stats;
@@ -113,8 +125,8 @@ TEST(PrunedTopK, CompressedTopKBitIdenticalToExhaustive) {
     const auto terms = zipf_query(rng, zipf, nterms);
     const auto weights = idf_weights_for(ci, terms);
     for (const std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{100}, kInf}) {
-      expect_bit_identical(compressed_top_k(ci, weights, k, &stats),
-                           exhaustive_ref(ci, weights, k), "compressed_top_k");
+      expect_bit_identical(top_k(*snap, weights, k, &stats), exhaustive_ref(ci, weights, k),
+                           "top_k over a base-only snapshot");
     }
   }
   // The large corpus + small k cases must actually skip blocks; k = inf must
@@ -128,43 +140,44 @@ TEST(PrunedTopK, CompressedTopKBitIdenticalToExhaustive) {
 TEST(PrunedTopK, CompressedTopKEdgeCases) {
   Rng rng(0xED6E);
   const InvertedIndex src = zipf_index(rng, 300, 50, 8);
-  const CompressedIndex ci = CompressedIndex::build(src);
+  const auto snap = base_only(src);
+  const CompressedIndex& ci = *snap->base();
 
   // k = 0 returns nothing; absent terms and zero weights are ignored.
   std::unordered_map<std::string, double> weights{{"w1", 1.0}, {"absent", 1.0}, {"w2", 0.0}};
-  EXPECT_TRUE(compressed_top_k(ci, weights, 0).empty());
-  expect_bit_identical(compressed_top_k(ci, weights, 5), exhaustive_ref(ci, weights, 5),
+  EXPECT_TRUE(top_k(*snap, weights, 0).empty());
+  expect_bit_identical(top_k(*snap, weights, 5), exhaustive_ref(ci, weights, 5),
                        "absent+zero-weight terms");
 
   // Query matching nothing at all.
   std::unordered_map<std::string, double> nohit{{"nope", 2.0}};
-  EXPECT_TRUE(compressed_top_k(ci, nohit, 10).empty());
+  EXPECT_TRUE(top_k(*snap, nohit, 10).empty());
 
   // Empty index.
-  const CompressedIndex empty = CompressedIndex::build(InvertedIndex{});
-  EXPECT_TRUE(compressed_top_k(empty, weights, 10).empty());
+  EXPECT_TRUE(top_k(*base_only(InvertedIndex{}), weights, 10).empty());
 }
 
 // ---------------------------------------------------------------------------
-// Entry point 2: TfIdfRanker with accelerator vs plain TfIdfRanker
+// IDF top_k over a base-only snapshot vs the §7.3 TfIdfRanker
 // ---------------------------------------------------------------------------
 
 TEST(PrunedTopK, TfIdfRankerAccelBitIdenticalToPlain) {
   Rng rng(0xACCE1);
   const InvertedIndex src = zipf_index(rng, 5000, 600, 20);
-  const CompressedIndex ci = CompressedIndex::build(src);
+  const auto snap = base_only(src);
   const ZipfSampler zipf(600, 1.1);
 
   const TfIdfRanker plain(src);
-  const TfIdfRanker accel(src, &ci);
 
   PruneStats stats;
+  std::unordered_map<std::string, double> weights;
   for (int q = 0; q < 25; ++q) {
     auto terms = zipf_query(rng, zipf, 2 + rng.below(8));
     if (q % 5 == 0) terms.push_back("not-in-corpus");  // absent terms mid-query
+    idf_weights(*snap, terms, weights);
     for (const std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{100}, kInf}) {
-      expect_bit_identical(accel.top_k(terms, k, &stats), plain.top_k(terms, k),
-                           "TfIdfRanker accel");
+      expect_bit_identical(top_k(*snap, weights, k, &stats), plain.top_k(terms, k),
+                           "IDF top_k over a base-only snapshot");
     }
   }
   EXPECT_GT(stats.pruned_queries, 0u);
@@ -172,7 +185,7 @@ TEST(PrunedTopK, TfIdfRankerAccelBitIdenticalToPlain) {
 }
 
 // ---------------------------------------------------------------------------
-// Entry point 3: SnapshotRanker over live epochs
+// top_k over live store epochs
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -207,7 +220,7 @@ std::string zipf_body(Rng& rng, const ZipfSampler& zipf,
 void verify_snapshot_pruned(const DataStore& store, Rng& rng, const ZipfSampler& zipf,
                             const std::vector<std::string>& vocab, PruneStats& stats) {
   const auto snap = store.snapshot();
-  const SnapshotRanker ranker(*snap);
+  std::unordered_map<std::string, double> weights;
   for (int q = 0; q < 6; ++q) {
     std::string query = vocab[zipf.sample(rng) - 1];
     const std::size_t extra = rng.below(6);
@@ -215,12 +228,12 @@ void verify_snapshot_pruned(const DataStore& store, Rng& rng, const ZipfSampler&
     const auto analyzed = store.analyzer().analyze(query);
     const std::vector<std::string> terms(analyzed.begin(), analyzed.end());
 
-    const auto weights = ranker.idf_weights(terms);
-    auto full = score_snapshot(*snap, weights);
+    idf_weights(*snap, terms, weights);
+    const auto full = top_k(*snap, weights, kAllMatches);
     for (const std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{100}, kInf}) {
       auto want = full;
       truncate_top_k(want, k);
-      expect_bit_identical(ranker.top_k(terms, k, &stats), want, "SnapshotRanker");
+      expect_bit_identical(top_k(*snap, weights, k, &stats), want, "top_k over live epochs");
     }
   }
 }
@@ -303,15 +316,16 @@ TEST(PrunedTopK, ConcurrentPrunedReadersWhileWriterMutates) {
       Rng rng(0xF00D + static_cast<std::uint64_t>(r));
       const ZipfSampler qzipf(200, 1.1);
       PruneStats stats;
+      std::unordered_map<std::string, double> weights;
       while (!stop.load(std::memory_order_relaxed)) {
         std::string query = vocab[qzipf.sample(rng) - 1];
         const std::size_t extra = rng.below(4);
         for (std::size_t t = 0; t < extra; ++t) query += ' ' + vocab[qzipf.sample(rng) - 1];
         const auto snap = store.snapshot();
-        const SnapshotRanker ranker(*snap);
         const auto analyzed = store.analyzer().analyze(query);
         const std::vector<std::string> terms(analyzed.begin(), analyzed.end());
-        const auto ranked = ranker.top_k(terms, 10, &stats);
+        idf_weights(*snap, terms, weights);
+        const auto ranked = top_k(*snap, weights, 10, &stats);
         // Local invariant (full identity is pinned by the tests above; here
         // the point is racing the pruned read path against the writer).
         for (std::size_t i = 1; i < ranked.size(); ++i) {
