@@ -13,17 +13,12 @@
 
 namespace planetp::core {
 
-struct NodeConfig {
+/// What the runtime-agnostic peer core (core::Peer) needs: the knobs shared by
+/// the in-process NodeConfig and the TCP runtime's net::LiveNodeConfig.
+struct PeerConfig {
   bloom::BloomParams bloom;            ///< 50 KB / 2 hashes by default (§7.1)
   text::AnalyzerOptions analyzer;      ///< tokenize + stop words + stemming
-  gossip::GossipConfig gossip;
-
-  /// Brokerage publication policy used by PFS (§6): publish each document's
-  /// snippet under its most frequent terms so searchers find it before the
-  /// new Bloom filter has diffused.
-  double broker_top_fraction = 0.10;          ///< "the 10% most frequently appearing terms"
-  Duration broker_discard_time = 10 * kMinute;  ///< "a discard time of 10 minutes"
-  bool publish_to_brokers = true;
+  gossip::GossipConfig gossip;         ///< live runtimes use short intervals for local tests
 
   search::StoppingHeuristic stopping;  ///< eq. 4 constants
   std::size_t search_group_size = 1;   ///< m peers contacted in parallel
@@ -38,6 +33,15 @@ struct NodeConfig {
   /// Query hot path (docs/SEARCH.md): the term→candidate-peers cache kept
   /// warm by gossiped filter diffs, plus the batched/parallel probe kernel.
   search::CandidateCacheConfig candidate_cache;
+};
+
+struct NodeConfig : PeerConfig {
+  /// Brokerage publication policy used by PFS (§6): publish each document's
+  /// snippet under its most frequent terms so searchers find it before the
+  /// new Bloom filter has diffused.
+  double broker_top_fraction = 0.10;          ///< "the 10% most frequently appearing terms"
+  Duration broker_discard_time = 10 * kMinute;  ///< "a discard time of 10 minutes"
+  bool publish_to_brokers = true;
 
   /// Connectivity class advertised in the directory; slow (modem) peers are
   /// avoided by bandwidth-aware gossiping and prefer proxy search (§7.2).

@@ -10,18 +10,15 @@
 #include <vector>
 
 #include "broker/snippet_store.hpp"
-#include "core/config.hpp"
-#include "gossip/protocol.hpp"
-#include "index/data_store.hpp"
-#include "search/candidate_cache.hpp"
-#include "search/distributed.hpp"
+#include "core/peer.hpp"
 
 /// \file node.hpp
 /// The public face of a PlanetP peer: publish XML documents, search the
 /// community exhaustively or by TFxIPF ranking, and register persistent
-/// queries. A Node owns its local data store, Bloom filter and gossip
-/// protocol instance; a Community (in-process) or the live TCP runtime
-/// moves its messages.
+/// queries. A Node is the in-process adapter over core::Peer (which owns the
+/// local data store, Bloom filter announcements, gossip protocol instance and
+/// candidate cache); its Community moves its messages and routes its
+/// contacts. The TCP runtime's net::LiveNode is the other adapter over Peer.
 
 namespace planetp::core {
 
@@ -51,7 +48,7 @@ class Node {
  public:
   Node(PeerId id, NodeConfig config, Community* community);
 
-  PeerId id() const { return id_; }
+  PeerId id() const { return peer_.id(); }
 
   // ------------------------------------------------------------------
   // Publishing
@@ -70,8 +67,8 @@ class Node {
 
   /// Replace a published document in place (same id, new content): the
   /// community sees the updated terms after the next filter gossip, and
-  /// persistent queries matching the new content fire. Returns false if the
-  /// id is unknown.
+  /// persistent queries matching the new content fire. The document's broker
+  /// snippet is replaced too. Returns false if the id is unknown.
   bool republish(DocumentId id, std::string xml);
 
   // ------------------------------------------------------------------
@@ -130,19 +127,21 @@ class Node {
   // Introspection / internal wiring
   // ------------------------------------------------------------------
 
-  index::DataStore& store() { return store_; }
-  const index::DataStore& store() const { return store_; }
-  gossip::Protocol& protocol() { return protocol_; }
+  index::DataStore& store() { return peer_.store(); }
+  const index::DataStore& store() const { return peer_.store(); }
+  gossip::Protocol& protocol() { return peer_.protocol(); }
   /// This node's dissemination counters (docs/PROTOCOL.md "Lazy
   /// dissemination"): payload pushes vs. duplicates, digests, served wants.
-  const gossip::GossipStats& gossip_stats() const { return protocol_.stats(); }
+  const gossip::GossipStats& gossip_stats() const { return peer_.protocol().stats(); }
   const NodeConfig& config() const { return config_; }
   Community* community() { return community_; }
 
   /// Evaluate a remote ranked query against the local index (eq. 2 with the
   /// searcher's term weights).
   std::vector<search::ScoredDoc> handle_ranked_query(
-      const std::unordered_map<std::string, double>& term_weights) const;
+      const std::unordered_map<std::string, double>& term_weights) const {
+    return peer_.serve_ranked(term_weights);
+  }
 
   /// Evaluate a remote exhaustive query locally; returns full hits.
   std::vector<SearchHit> handle_exhaustive_query(std::string_view query) const;
@@ -151,30 +150,24 @@ class Node {
   /// arrives: re-evaluates persistent queries against that peer.
   void on_directory_update(PeerId origin);
 
-  /// Gossip-layer hook: a strictly newer rumor for \p payload.origin was
-  /// applied. Keeps the candidate cache warm — XOR filter diffs are applied
-  /// surgically (only cached terms whose bits the diff touches are fixed),
-  /// rejoin version bumps are recorded without re-decoding, and anything
-  /// else drops the stale filter for lazy re-decode by filter_of.
-  void on_rumor_applied(const gossip::RumorPayload& payload);
-
-  /// Gossip-layer hook: \p peer expired from the directory (T_dead).
-  void on_peer_expired(PeerId peer);
+  /// Gossip-layer hooks keeping the candidate cache warm (Peer::on_rumor_applied
+  /// and Peer::on_peer_expired).
+  void on_rumor_applied(const gossip::RumorPayload& payload) { peer_.on_rumor_applied(payload); }
+  void on_peer_expired(PeerId peer) { peer_.on_peer_expired(peer); }
 
   /// Called by the community when a broker snippet is published whose keys
   /// cover one of our persistent queries.
   void on_broker_snippet(const broker::Snippet& snippet);
 
-  /// Decoded Bloom filter of a peer as recorded in our directory (nullptr
-  /// when unknown). The cache stores the record's Golomb wire bytes at rest,
-  /// keyed by the record version, and decodes on demand; the returned
-  /// shared_ptr pins the decoded filter across any LRU eviction
-  /// (candidate_cache.max_decoded_bytes) that happens underneath.
-  std::shared_ptr<const bloom::BloomFilter> filter_of(PeerId peer) const;
+  /// Decoded Bloom filter of a peer (ourselves included) as recorded in our
+  /// directory; nullptr when unknown. See Peer::filter_of.
+  std::shared_ptr<const bloom::BloomFilter> filter_of(PeerId peer) const {
+    return peer_.filter_of(peer);
+  }
 
   /// The query hot-path cache (stats/introspection; tests and benches).
-  search::CandidateCache& candidate_cache() { return filter_cache_; }
-  const search::CandidateCache& candidate_cache() const { return filter_cache_; }
+  search::CandidateCache& candidate_cache() { return peer_.candidate_cache(); }
+  const search::CandidateCache& candidate_cache() const { return peer_.candidate_cache(); }
 
  private:
   struct PersistentQuery {
@@ -192,34 +185,26 @@ class Node {
     std::unordered_set<DocumentId, index::DocumentIdHash> seen;
   };
 
-  /// Push the current filter state into the gossip protocol (diff + full).
-  void announce_filter_change(std::uint32_t new_keys);
-
-  /// Candidate peers whose filters contain every term.
-  std::vector<PeerId> candidates_for(const std::vector<std::string>& terms) const;
-
-  /// Own Bloom filter, projected from the counting filter once per
-  /// store_.filter_version() and kept in the candidate cache (so the self
-  /// row of a ranked search resolves through warm entries too).
-  const bloom::BloomFilter* own_filter() const;
+  /// The community's clock (0 without a community).
+  TimePoint now() const;
+  /// Our record changed: in kInstant mode the community applies it everywhere.
+  void record_changed();
+  /// §6: publish \p doc's snippet to the brokers under the top fraction of
+  /// its most frequent terms, so it is findable before gossip converges.
+  void publish_snippet(DocumentId doc);
+  /// Withdraw \p doc's broker snippet, if any, before its discard time.
+  void withdraw_snippet(DocumentId doc);
 
   void run_persistent_query_against(PersistentQuery& q, PeerId target);
 
-  PeerId id_;
   NodeConfig config_;
   Community* community_;
-  index::DataStore store_;
-  gossip::Protocol protocol_;
-  bloom::BloomFilter last_announced_;  ///< diff base for filter-change rumors
+  Peer peer_;
   std::uint64_t next_query_handle_ = 1;
   std::uint64_t next_snippet_id_ = 1;
   std::unordered_map<DocumentId, std::uint64_t, index::DocumentIdHash> doc_snippets_;
   std::map<std::uint64_t, Rendezvous> rendezvous_;
   std::map<std::uint64_t, PersistentQuery> persistent_queries_;
-  /// Decoded-filter store + term→candidate cache + probe kernel (the query
-  /// hot path). mutable: filter_of/own_filter fill it lazily from const
-  /// accessors; the cache itself is internally synchronized.
-  mutable search::CandidateCache filter_cache_;
 };
 
 }  // namespace planetp::core

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 
-#include "bloom/wire.hpp"
 #include "gossip/messages.hpp"
 #include "index/persistence.hpp"
 #include "index/xml.hpp"
-#include "search/ranker.hpp"
 #include "util/logging.hpp"
 
 namespace planetp::net {
@@ -14,45 +12,16 @@ namespace planetp::net {
 using gossip::PeerId;
 
 LiveNode::LiveNode(PeerId id, LiveNodeConfig config, std::uint16_t port)
-    : id_(id),
-      config_(config),
+    : config_(config),
       reactor_(config.reactor),
-      store_(id, config.bloom, config.analyzer),
-      protocol_(id, config.gossip, Rng(0x11fe00d ^ id)),
-      last_announced_(config.bloom),
-      filter_cache_(config.candidate_cache) {
+      peer_(id, config_, Rng(0x11fe00d ^ id)) {
   reactor_.listen(port);
-  // Keep the candidate cache warm from the gossip stream: XOR filter diffs
-  // apply surgically (cached terms whose bits the diff misses stay warm),
-  // rejoins are version touches, anything else drops the stale filter for
-  // lazy re-decode on the next query. Both hooks fire under mu_.
-  protocol_.hooks().on_apply = [this](const gossip::RumorPayload& payload, TimePoint) {
-    if (payload.origin == id_) return;
-    if (!payload.filter.has_value() || payload.kind == gossip::EventKind::kRejoin) {
-      filter_cache_.touch_peer(payload.origin, payload.version);
-      return;
-    }
-    const gossip::FilterUpdate& fu = *payload.filter;
-    if (fu.base_version != 0 && !fu.bits.empty()) {
-      // Wire-backed peers absorb the diff in the Golomb gap domain (at-rest
-      // bytes updated in place, resident decoded copies fixed surgically).
-      if (filter_cache_.apply_peer_diff_wire(payload.origin, fu.bits, fu.base_version,
-                                             payload.version)) {
-        return;
-      }
-      try {
-        ByteReader reader(fu.bits);
-        const BitVector diff = bloom::decode_diff(reader);
-        if (filter_cache_.apply_peer_diff(payload.origin, diff, fu.base_version,
-                                          payload.version)) {
-          return;
-        }
-      } catch (const std::exception&) {
-      }
-    }
-    filter_cache_.remove_peer(payload.origin);
+  // Keep the candidate cache warm from the gossip stream. Both hooks fire
+  // inside Protocol calls, which are made under mu_.
+  peer_.protocol().hooks().on_apply = [this](const gossip::RumorPayload& payload, TimePoint) {
+    peer_.on_rumor_applied(payload);
   };
-  protocol_.hooks().on_expire = [this](PeerId peer) { filter_cache_.remove_peer(peer); };
+  peer_.protocol().hooks().on_expire = [this](PeerId peer) { peer_.on_peer_expired(peer); };
 }
 
 LiveNode::~LiveNode() { stop(); }
@@ -73,28 +42,27 @@ void LiveNode::start() {
                  [this](const std::string& addr) { on_send_failure(addr); });
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ByteWriter w;
-    bloom::encode_filter(w, store_.bloom_filter());
-    const auto key_count = static_cast<std::uint32_t>(store_.num_terms());
+    gossip::Protocol& protocol = peer_.protocol();
+    const auto key_count = static_cast<std::uint32_t>(peer_.store().num_terms());
     if (bootstrap_requested_) {
       // Converged start: install everyone quietly, no join rumor. When the
       // seeded records carried a version for ourselves (restart keeping the
       // directory) resume from it so peers' stale records lose to ours.
-      protocol_.quiet_start(address(), gossip::LinkClass::kFast, key_count, w.take());
-      protocol_.bootstrap(bootstrap_records_);
+      protocol.quiet_start(address(), gossip::LinkClass::kFast, key_count, peer_.filter_wire());
+      protocol.bootstrap(bootstrap_records_);
       if (bootstrap_self_version_ > 1) {
-        if (const gossip::PeerRecord* self = protocol_.directory().find(id_)) {
+        if (const gossip::PeerRecord* self = protocol.directory().find(id())) {
           gossip::PeerRecord resumed = *self;
           resumed.version = bootstrap_self_version_;
-          protocol_.directory().put_self(std::move(resumed));
+          protocol.directory().put_self(std::move(resumed));
         }
       }
       bootstrap_records_.clear();
     } else {
-      protocol_.local_join(address(), gossip::LinkClass::kFast, key_count, w.take(), 0);
+      protocol.local_join(address(), gossip::LinkClass::kFast, key_count, peer_.filter_wire(), 0);
     }
   }
-  const Duration first = protocol_.current_interval();
+  const Duration first = peer_.protocol().current_interval();
   {
     std::lock_guard<std::mutex> lock(jitter_mu_);
     last_round_due_ = steady_micros() + first;
@@ -107,7 +75,7 @@ void LiveNode::bootstrap_converged(std::vector<gossip::PeerRecord> records) {
   std::lock_guard<std::mutex> lock(mu_);
   bootstrap_self_version_ = 0;
   for (const gossip::PeerRecord& r : records) {
-    if (r.id == id_) bootstrap_self_version_ = r.version;
+    if (r.id == id()) bootstrap_self_version_ = r.version;
   }
   bootstrap_records_ = std::move(records);
   bootstrap_requested_ = true;
@@ -116,24 +84,20 @@ void LiveNode::bootstrap_converged(std::vector<gossip::PeerRecord> records) {
 gossip::PeerRecord LiveNode::bootstrap_record(bool include_filter) const {
   std::lock_guard<std::mutex> lock(mu_);
   gossip::PeerRecord r;
-  r.id = id_;
+  r.id = id();
   r.address = reactor_.address();
   r.link_class = gossip::LinkClass::kFast;
   r.version = 1;
   r.online = true;
-  r.key_count = static_cast<std::uint32_t>(store_.num_terms());
-  if (include_filter && r.key_count > 0) {
-    ByteWriter w;
-    bloom::encode_filter(w, store_.bloom_filter());
-    r.filter_wire = w.take();
-  }
+  r.key_count = static_cast<std::uint32_t>(peer_.store().num_terms());
+  if (include_filter && r.key_count > 0) r.filter_wire = peer_.filter_wire();
   return r;
 }
 
 void LiveNode::announce_rejoin() {
   std::lock_guard<std::mutex> lock(mu_);
   // Bumps our version and rumors presence; the rumor rides the next round.
-  protocol_.local_rejoin(steady_micros());
+  peer_.protocol().local_rejoin(steady_micros());
 }
 
 void LiveNode::stop() {
@@ -152,8 +116,8 @@ void LiveNode::join(PeerId introducer, const std::string& introducer_address) {
     seed.id = introducer;
     seed.address = introducer_address;
     seed.version = 0;
-    protocol_.directory().apply(seed);
-    out.push_back(protocol_.join_via(introducer, steady_micros()));
+    peer_.protocol().directory().apply(seed);
+    out.push_back(peer_.protocol().join_via(introducer, steady_micros()));
   }
   send_outgoing(std::move(out));
 }
@@ -181,8 +145,8 @@ void LiveNode::gossip_round() {
   Duration next;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out = protocol_.on_round(steady_micros());
-    next = protocol_.current_interval();
+    out = peer_.protocol().on_round(steady_micros());
+    next = peer_.protocol().current_interval();
   }
   send_outgoing(std::move(out));
   {
@@ -201,13 +165,13 @@ NetStats LiveNode::net_stats() const {
   NetStats s = reactor_.stats();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    s.gossip = protocol_.stats();
+    s.gossip = peer_.protocol().stats();
   }
   return s;
 }
 
 std::string LiveNode::address_of(PeerId peer) const {
-  const gossip::PeerRecord* record = protocol_.directory().find(peer);
+  const gossip::PeerRecord* record = peer_.protocol().directory().find(peer);
   return record == nullptr ? std::string{} : record->address;
 }
 
@@ -220,7 +184,7 @@ void LiveNode::send_outgoing(std::vector<gossip::Protocol::Outgoing> batch) {
     }
     if (addr.empty()) continue;
     Frame frame;
-    frame.sender = id_;
+    frame.sender = id();
     frame.channel = Channel::kGossip;
     frame.payload = gossip::encode_message(out.msg);
     // Pull responses answer an explicit request (anti-entropy pull or a lazy
@@ -236,7 +200,7 @@ void LiveNode::send_outgoing(std::vector<gossip::Protocol::Outgoing> batch) {
       // applied to real frames. Drops are silent wire loss; delayed and
       // duplicate copies ride the reactor's timer heap.
       const sim::FaultDecision fault = config_.faults->decide(
-          id_, out.to, steady_micros() - fault_origin_, sim::msg_class_of(out.msg));
+          id(), out.to, steady_micros() - fault_origin_, sim::msg_class_of(out.msg));
       if (fault.drop) continue;
       for (const Duration lag : fault.duplicate_lags) {
         reactor_.schedule(fault.extra_delay + std::max<Duration>(lag, 1),
@@ -259,7 +223,7 @@ void LiveNode::on_frame(const Frame& frame) {
     try {
       const gossip::Message msg = gossip::decode_message(frame.payload);
       std::lock_guard<std::mutex> lock(mu_);
-      replies = protocol_.on_message(steady_micros(), frame.sender, msg);
+      replies = peer_.protocol().on_message(steady_micros(), frame.sender, msg);
     } catch (const std::exception& e) {
       PLOG_WARN("net", "bad gossip frame from ", frame.sender, ": ", e.what());
       return;
@@ -279,10 +243,10 @@ void LiveNode::on_send_failure(const std::string& address) {
     std::lock_guard<std::mutex> lock(mu_);
     // Identify which peer the address belongs to and mark it offline (§3).
     PeerId failed = gossip::kInvalidPeer;
-    protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
+    peer_.protocol().directory().for_each([&](const gossip::PeerRecord& r) {
       if (r.address == address) failed = r.id;
     });
-    if (failed != gossip::kInvalidPeer) protocol_.on_send_failed(failed, 0);
+    if (failed != gossip::kInvalidPeer) peer_.protocol().on_send_failed(failed, 0);
   }
   // Fail any synchronous RPC waiting on this address now rather than letting
   // it burn the full rpc_timeout against a dead socket.
@@ -303,32 +267,9 @@ void LiveNode::on_send_failure(const std::string& address) {
 // Publishing
 // ---------------------------------------------------------------------------
 
-void LiveNode::announce_filter_change(std::uint32_t new_keys) {
-  std::vector<gossip::Protocol::Outgoing> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bloom::BloomFilter current = store_.bloom_filter();
-    ByteWriter diff_writer;
-    bloom::encode_diff(diff_writer, current.diff_from(last_announced_));
-    ByteWriter full_writer;
-    bloom::encode_filter(full_writer, current);
-    protocol_.local_filter_change(static_cast<std::uint32_t>(store_.num_terms()),
-                                  new_keys, diff_writer.take(), full_writer.take(), 0);
-    last_announced_ = current;
-  }
-}
-
 index::DocumentId LiveNode::publish(std::string xml) {
-  index::DocumentId doc;
-  std::size_t before, after;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    before = store_.num_terms();
-    doc = store_.publish(std::move(xml));
-    after = store_.num_terms();
-  }
-  announce_filter_change(static_cast<std::uint32_t>(after - before));
-  return doc;
+  std::lock_guard<std::mutex> lock(mu_);
+  return peer_.publish(std::move(xml), 0);
 }
 
 index::DocumentId LiveNode::publish_text(std::string_view title, std::string_view body) {
@@ -339,7 +280,7 @@ index::DocumentId LiveNode::publish_text(std::string_view title, std::string_vie
 // RPC server side
 // ---------------------------------------------------------------------------
 
-void LiveNode::reply_rpc(std::uint32_t peer, const RpcMessage& msg) {
+void LiveNode::send_rpc(std::uint32_t peer, const RpcMessage& msg) {
   std::string addr;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -347,10 +288,33 @@ void LiveNode::reply_rpc(std::uint32_t peer, const RpcMessage& msg) {
   }
   if (addr.empty()) return;
   Frame frame;
-  frame.sender = id_;
+  frame.sender = id();
   frame.channel = Channel::kRpc;
   frame.payload = encode_rpc(msg);
   reactor_.send(addr, std::move(frame), SendClass::kRpc);
+}
+
+std::vector<RemoteDoc> LiveNode::answer_ranked(
+    const std::unordered_map<std::string, double>& weights) {
+  // Rank lock-free against the published epoch snapshot; mu_ is only taken
+  // afterwards for the title lookups.
+  const auto scored = peer_.serve_ranked(weights);
+  std::vector<RemoteDoc> docs;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& d : scored) {
+    const index::Document* doc = peer_.store().document(d.doc);
+    docs.push_back(RemoteDoc{d.doc.peer, d.doc.local, d.score, doc != nullptr ? doc->title : ""});
+  }
+  return docs;
+}
+
+std::vector<RemoteDoc> LiveNode::local_matches(std::string_view query) const {
+  std::vector<RemoteDoc> docs;
+  for (const index::DocumentId& d : peer_.store().search_all_terms(query)) {
+    const index::Document* doc = peer_.store().document(d);
+    docs.push_back(RemoteDoc{d.peer, d.local, 0.0, doc != nullptr ? doc->title : ""});
+  }
+  return docs;
 }
 
 void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
@@ -359,18 +323,8 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     resp.request_id = req->request_id;
     std::unordered_map<std::string, double> weights;
     for (const WeightedTerm& t : req->weights) weights.emplace(t.term, t.weight);
-    // Rank lock-free against the published epoch snapshot; mu_ is only taken
-    // afterwards for the title lookups.
-    const auto scored = search::top_k(*store_.snapshot(), weights, search::kAllMatches);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& d : scored) {
-        const index::Document* doc = store_.document(d.doc);
-        resp.docs.push_back(
-            RemoteDoc{d.doc.peer, d.doc.local, d.score, doc != nullptr ? doc->title : ""});
-      }
-    }
-    reply_rpc(sender, resp);
+    resp.docs = answer_ranked(weights);
+    send_rpc(sender, resp);
     return;
   }
   if (const auto* req = std::get_if<ExhaustiveRequest>(&msg)) {
@@ -378,20 +332,16 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     resp.request_id = req->request_id;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (const index::DocumentId& d : store_.search_all_terms(req->query)) {
-        const index::Document* doc = store_.document(d);
-        resp.docs.push_back(
-            RemoteDoc{d.peer, d.local, 0.0, doc != nullptr ? doc->title : ""});
-      }
+      resp.docs = local_matches(req->query);
     }
-    reply_rpc(sender, resp);
+    send_rpc(sender, resp);
     return;
   }
   if (const auto* req = std::get_if<FetchRequest>(&msg)) {
     FetchResponse resp;
     resp.request_id = req->request_id;
     std::unique_lock<std::mutex> lock(mu_);
-    const index::Document* doc = store_.document(index::DocumentId{req->peer, req->local});
+    const index::Document* doc = peer_.store().document(index::DocumentId{req->peer, req->local});
     if (doc != nullptr) {
       resp.found = true;
       resp.title = doc->title;
@@ -411,7 +361,7 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
       }
     }
     lock.unlock();
-    reply_rpc(sender, resp);
+    send_rpc(sender, resp);
     return;
   }
   if (const auto* req = std::get_if<StoreSnippetRequest>(&msg)) {
@@ -425,7 +375,7 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::string& key : local.keys) {
       const auto replicas = broker_replicas_for(key);
-      if (std::find(replicas.begin(), replicas.end(), id_) != replicas.end()) {
+      if (std::find(replicas.begin(), replicas.end(), id()) != replicas.end()) {
         broker_store_.put(key, local);
       }
     }
@@ -442,7 +392,7 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
             WireSnippet{s.publisher, s.id, s.xml, s.keys, s.discard_at - now});
       }
     }
-    reply_rpc(sender, resp);
+    send_rpc(sender, resp);
     return;
   }
   // A response: hand to the waiting caller.
@@ -472,7 +422,7 @@ std::optional<RpcMessage> LiveNode::call(PeerId peer, RpcMessage request,
 
   const std::uint64_t request_id = rpc_request_id(request);
   Frame frame;
-  frame.sender = id_;
+  frame.sender = id();
   frame.channel = Channel::kRpc;
   frame.payload = encode_rpc(request);
   {
@@ -503,112 +453,62 @@ std::optional<RpcMessage> LiveNode::call(PeerId peer, RpcMessage request,
   return std::move(node.mapped());
 }
 
-std::shared_ptr<const bloom::BloomFilter> LiveNode::cached_filter(
-    const gossip::PeerRecord& record) {
-  if (auto cached = filter_cache_.version_of(record.id);
-      !cached.has_value() || *cached != record.version) {
-    // At rest in the cache as the record's compressed wire; decoded on
-    // demand below, bounded by candidate_cache.max_decoded_bytes.
-    filter_cache_.update_peer_wire(record.id, record.filter_wire, record.version);
-  }
-  return filter_cache_.resident_filter(record.id);
-}
-
-std::shared_ptr<const bloom::BloomFilter> LiveNode::own_filter() {
-  // Cache versions are non-zero; the store's version starts at 0.
-  const std::uint64_t version = store_.filter_version() + 1;
-  if (auto cached = filter_cache_.version_of(id_); !cached.has_value() || *cached != version) {
-    filter_cache_.update_peer(id_, std::make_shared<bloom::BloomFilter>(store_.bloom_filter()),
-                              version);
-  }
-  return filter_cache_.filter_of(id_);
-}
-
 std::vector<LiveHit> LiveNode::ranked_search(std::string_view query, std::size_t k) {
   std::vector<std::string> terms;
-  std::vector<search::PeerFilter> views;
-  // Shared ownership pins the view's filters: a concurrent gossip update
-  // swaps the cache's copy (copy-on-write) without invalidating this query.
-  std::vector<std::shared_ptr<const bloom::BloomFilter>> pinned;
+  core::Peer::RankedPlan plan;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    terms = store_.analyzer().analyze(query);
-    protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
-      if (r.id == id_ || !r.online || r.filter_wire.empty()) return;
-      auto f = cached_filter(r);
-      if (f == nullptr) return;
-      views.push_back(search::PeerFilter{r.id, f.get(), r.suspicion});
-      pinned.push_back(std::move(f));
-    });
-    auto own = own_filter();
-    views.push_back(search::PeerFilter{id_, own.get()});
-    pinned.push_back(std::move(own));
+    terms = peer_.store().analyzer().analyze(query);
+    if (terms.empty()) return {};
+    plan = peer_.plan_ranked(k);
   }
-  if (terms.empty()) return {};
+  plan.options.clock = [] { return steady_micros(); };
+  plan.options.sleep = [](Duration d) {
+    if (d > 0) std::this_thread::sleep_for(std::chrono::microseconds(d));
+  };
 
   std::unordered_map<index::DocumentId, std::string, index::DocumentIdHash> titles;
   const auto contact = [&](std::uint32_t peer,
                            const std::unordered_map<std::string, double>& weights)
       -> search::PeerSearchResult {
-    if (peer == id_) {
-      // Self-evaluation ranks lock-free against the epoch snapshot; mu_
-      // guards only the title map.
-      auto docs = search::top_k(*store_.snapshot(), weights, search::kAllMatches);
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& d : docs) {
-        const index::Document* doc = store_.document(d.doc);
-        if (doc != nullptr) titles[d.doc] = doc->title;
+    std::vector<RemoteDoc> answer;
+    Duration latency = 0;
+    if (peer == id()) {
+      answer = answer_ranked(weights);
+    } else {
+      RankedRequest req;
+    req.request_id = next_request_id_++;
+      for (const auto& [term, weight] : weights) req.weights.push_back({term, weight});
+      const TimePoint sent_at = steady_micros();
+      search::ContactStatus status = search::ContactStatus::kTimeout;
+      auto resp = call(peer, req, &status);
+      latency = steady_micros() - sent_at;
+      if (!resp) {
+        // kTimeout: silence within rpc_timeout (retryable). kUnreachable: the
+        // transport itself gave up on the peer — no point retrying in-query.
+        return search::PeerSearchResult::failure(status, latency);
       }
-      return search::PeerSearchResult::ok(std::move(docs));
-    }
-    RankedRequest req;
-    {
-      std::lock_guard<std::mutex> lock(rpc_mu_);
-      req.request_id = next_request_id_++;
-    }
-    for (const auto& [term, weight] : weights) req.weights.push_back({term, weight});
-    const TimePoint sent_at = steady_micros();
-    search::ContactStatus status = search::ContactStatus::kTimeout;
-    const auto resp = call(peer, req, &status);
-    const Duration latency = steady_micros() - sent_at;
-    if (!resp) {
-      // kTimeout: silence within rpc_timeout (retryable). kUnreachable: the
-      // transport itself gave up on the peer — no point retrying in-query.
-      return search::PeerSearchResult::failure(status, latency);
-    }
-    if (const auto* r = std::get_if<RankedResponse>(&*resp)) {
-      std::vector<search::ScoredDoc> docs;
-      for (const RemoteDoc& d : r->docs) {
-        const index::DocumentId doc_id{d.peer, d.local};
-        docs.push_back(search::ScoredDoc{doc_id, d.score});
-        titles[doc_id] = d.title;
+      auto* r = std::get_if<RankedResponse>(&*resp);
+      if (r == nullptr) {
+        // Wrong variant or an explicit ErrorResponse: the peer answered but
+        // could not serve the query.
+        return search::PeerSearchResult::failure(search::ContactStatus::kError, latency);
       }
-      return search::PeerSearchResult::ok(std::move(docs), latency);
+      answer = std::move(r->docs);
     }
-    // Wrong variant or an explicit ErrorResponse: the peer answered but
-    // could not serve the query.
-    return search::PeerSearchResult::failure(search::ContactStatus::kError, latency);
+    std::vector<search::ScoredDoc> docs;
+    for (RemoteDoc& d : answer) {
+      const index::DocumentId doc_id{d.peer, d.local};
+      docs.push_back(search::ScoredDoc{doc_id, d.score});
+      titles[doc_id] = std::move(d.title);
+    }
+    return search::PeerSearchResult::ok(std::move(docs), latency);
   };
 
-  search::DistributedSearchOptions opts;
-  opts.k = k;
-  opts.group_size = config_.search_group_size;
-  opts.stopping = config_.stopping;
-  opts.retry = config_.search_retry;
-  opts.deadline = config_.search_deadline;
-  opts.hedge_threshold = config_.search_hedge_threshold;
-  opts.seed = 0x5ea2c4u ^ id_;
-  opts.cache = &filter_cache_;
-  opts.clock = [] { return steady_micros(); };
-  opts.sleep = [](Duration d) {
-    if (d > 0) std::this_thread::sleep_for(std::chrono::microseconds(d));
-  };
-  const auto result = search::tfipf_search(terms, views, contact, opts);
-
-  // SUSPECT feedback: repeated query failures demote a peer in future
-  // rankings and eventually mark it offline locally.
-  for (const search::PeerOutcome& outcome : result.outcomes) {
-    note_contact_outcome(outcome.peer, outcome.status == search::ContactStatus::kOk);
+  const auto result = search::tfipf_search(terms, plan.view, contact, plan.options);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    peer_.record_outcomes(result.outcomes, steady_micros());
   }
 
   std::vector<LiveHit> hits;
@@ -624,32 +524,20 @@ std::vector<LiveHit> LiveNode::exhaustive_search(std::string_view query) {
   std::vector<LiveHit> hits;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    terms = store_.analyzer().analyze(query);
+    terms = peer_.store().analyzer().analyze(query);
     if (terms.empty()) return {};
-    for (const index::DocumentId& d : store_.search_all_terms(query)) {
-      const index::Document* doc = store_.document(d);
-      hits.push_back(LiveHit{d.peer, d.local, 0.0, doc != nullptr ? doc->title : ""});
+    for (RemoteDoc& d : local_matches(query)) {
+      hits.push_back(LiveHit{d.peer, d.local, 0.0, std::move(d.title)});
     }
-    // Hash once per query, probe cached filters (no per-query decode).
-    std::vector<HashPair> hashes;
-    hashes.reserve(terms.size());
-    for (const std::string& t : terms) hashes.push_back(hash_pair(t));
-    protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
-      if (r.id == id_ || !r.online || r.filter_wire.empty()) return;
-      const auto f = cached_filter(r);
-      if (f == nullptr) return;
-      for (const HashPair& hp : hashes) {
-        if (!f->contains(hp)) return;
-      }
-      candidates.push_back(r.id);
-    });
+    // Ascending peer order, as core::Node; offline candidates are skipped.
+    for (const PeerId peer : peer_.candidates(terms)) {
+      const gossip::PeerRecord* r = peer_.protocol().directory().find(peer);
+      if (r != nullptr && r->online) candidates.push_back(peer);
+    }
   }
   for (PeerId peer : candidates) {
     ExhaustiveRequest req;
-    {
-      std::lock_guard<std::mutex> lock(rpc_mu_);
-      req.request_id = next_request_id_++;
-    }
+    req.request_id = next_request_id_++;
     req.query = std::string(query);
     const auto resp = call(peer, req);
     if (resp) {
@@ -669,9 +557,9 @@ std::optional<std::string> LiveNode::fetch_document(std::uint32_t peer, std::uin
 
 std::optional<std::string> LiveNode::fetch_document(
     std::uint32_t peer, std::uint32_t local, const std::vector<gossip::PeerId>& alternates) {
-  if (peer == id_) {
+  if (peer == id()) {
     std::lock_guard<std::mutex> lock(mu_);
-    const index::Document* doc = store_.document(index::DocumentId{peer, local});
+    const index::Document* doc = peer_.store().document(index::DocumentId{peer, local});
     if (doc == nullptr) return std::nullopt;
     return doc->xml_source;
   }
@@ -681,21 +569,18 @@ std::optional<std::string> LiveNode::fetch_document(
   // the publisher is gone.
   std::vector<gossip::PeerId> targets{peer};
   for (const gossip::PeerId alt : alternates) {
-    if (alt != id_ && std::find(targets.begin(), targets.end(), alt) == targets.end()) {
+    if (alt != id() && std::find(targets.begin(), targets.end(), alt) == targets.end()) {
       targets.push_back(alt);
     }
   }
-  Rng rng(0xfe7c4u ^ id_ ^ (static_cast<std::uint64_t>(peer) << 32 | local));
+  Rng rng(0xfe7c4u ^ id() ^ (static_cast<std::uint64_t>(peer) << 32 | local));
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const gossip::PeerId target = targets[t];
     const std::uint32_t attempts =
         t == 0 ? std::max<std::uint32_t>(1, config_.search_retry.max_attempts) : 1;
     for (std::uint32_t attempt = 1; attempt <= attempts; ++attempt) {
       FetchRequest req;
-      {
-        std::lock_guard<std::mutex> lock(rpc_mu_);
-        req.request_id = next_request_id_++;
-      }
+      req.request_id = next_request_id_++;
       req.peer = peer;
       req.local = local;
       const auto resp = call(target, req);
@@ -722,55 +607,38 @@ std::optional<std::string> LiveNode::fetch_document(
 
 std::size_t LiveNode::known_peers() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return protocol_.directory().size();
+  return peer_.protocol().directory().size();
 }
 
 // ---------------------------------------------------------------------------
 // Information brokerage over the live community
 // ---------------------------------------------------------------------------
 
-gossip::PeerId LiveNode::broker_for(const std::string& key) const {
+std::vector<gossip::PeerId> LiveNode::broker_replicas_for(const std::string& key) const {
   // Build the ring from the current membership view. Every online member is
   // a broker ("each active member chooses a unique broker ID", §4); all
   // peers derive ids the same way, so their rings agree once the directory
   // converges.
   broker::HashRing ring;
-  protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
-    if (r.online || r.id == id_) ring.add_by_hash(r.id);
-  });
-  const auto owner = ring.responsible_for(key);
-  return owner.value_or(gossip::kInvalidPeer);
-}
-
-std::vector<gossip::PeerId> LiveNode::broker_replicas_for(const std::string& key) const {
-  broker::HashRing ring;
-  protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
-    if (r.online || r.id == id_) ring.add_by_hash(r.id);
+  peer_.protocol().directory().for_each([&](const gossip::PeerRecord& r) {
+    if (r.online || r.id == id()) ring.add_by_hash(r.id);
   });
   return ring.replicas_for(key, std::max<std::size_t>(1, config_.broker_replication));
 }
 
 void LiveNode::note_contact_outcome(PeerId peer, bool ok) {
-  if (peer == id_) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (ok) {
-    protocol_.directory().record_query_success(peer);
-  } else {
-    protocol_.directory().record_query_failure(peer, steady_micros());
-  }
+  peer_.record_contact(peer, ok, steady_micros());
 }
 
 std::uint64_t LiveNode::publish_snippet(std::string xml, std::vector<std::string> keys,
                                         Duration ttl) {
   WireSnippet snippet;
-  snippet.publisher = id_;
+  snippet.publisher = id();
   snippet.xml = std::move(xml);
   snippet.keys = std::move(keys);
   snippet.ttl_us = ttl;
-  {
-    std::lock_guard<std::mutex> lock(rpc_mu_);
-    snippet.snippet_id = next_snippet_id_++;
-  }
+  snippet.snippet_id = next_snippet_id_++;
 
   // Route each key to its full replica set (the owner plus the configured
   // number of ring successors); replicas that are this node store locally.
@@ -779,12 +647,12 @@ std::uint64_t LiveNode::publish_snippet(std::string xml, std::vector<std::string
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::string& key : snippet.keys) {
       auto replicas = broker_replicas_for(key);
-      if (replicas.empty()) replicas.push_back(id_);  // empty directory: keep it ourselves
+      if (replicas.empty()) replicas.push_back(id());  // empty directory: keep it ourselves
       for (const gossip::PeerId owner : replicas) {
-        if (owner == id_) {
+        if (owner == id()) {
           broker::Snippet local;
           local.id = snippet.snippet_id;
-          local.publisher = id_;
+          local.publisher = id();
           local.xml = snippet.xml;
           local.keys = snippet.keys;
           local.discard_at = steady_micros() + ttl;
@@ -799,19 +667,9 @@ std::uint64_t LiveNode::publish_snippet(std::string xml, std::vector<std::string
   // One StoreSnippetRequest per distinct remote replica: the receiver keeps
   // the keys it is responsible for and ignores the rest.
   for (const gossip::PeerId owner : remote_targets) {
-    std::string addr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      addr = address_of(owner);
-    }
-    if (addr.empty()) continue;
     StoreSnippetRequest req;
     req.snippet = snippet;
-    Frame frame;
-    frame.sender = id_;
-    frame.channel = Channel::kRpc;
-    frame.payload = encode_rpc(req);
-    reactor_.send(addr, std::move(frame), SendClass::kRpc);
+    send_rpc(owner, req);
   }
   return snippet.snippet_id;
 }
@@ -824,9 +682,9 @@ std::vector<WireSnippet> LiveNode::lookup_snippets(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
     replicas = broker_replicas_for(key);
   }
-  if (replicas.empty()) replicas.push_back(id_);
+  if (replicas.empty()) replicas.push_back(id());
   for (const gossip::PeerId owner : replicas) {
-    if (owner == id_) {
+    if (owner == id()) {
       std::lock_guard<std::mutex> lock(mu_);
       std::vector<WireSnippet> out;
       const TimePoint now = steady_micros();
@@ -837,10 +695,7 @@ std::vector<WireSnippet> LiveNode::lookup_snippets(const std::string& key) {
       continue;
     }
     LookupSnippetRequest req;
-    {
-      std::lock_guard<std::mutex> lock(rpc_mu_);
-      req.request_id = next_request_id_++;
-    }
+    req.request_id = next_request_id_++;
     req.key = key;
     const auto resp = call(owner, req);
     if (!resp) {
@@ -873,7 +728,7 @@ void LiveNode::sweep_broker_store() {
 std::vector<LiveNode::PeerInfo> LiveNode::directory_snapshot() const {
   std::vector<PeerInfo> out;
   std::lock_guard<std::mutex> lock(mu_);
-  protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
+  peer_.protocol().directory().for_each([&](const gossip::PeerRecord& r) {
     out.push_back(PeerInfo{r.id, r.address, r.version, r.online, r.key_count});
   });
   std::sort(out.begin(), out.end(),
@@ -881,9 +736,16 @@ std::vector<LiveNode::PeerInfo> LiveNode::directory_snapshot() const {
   return out;
 }
 
+std::optional<gossip::PeerRecord> LiveNode::directory_record(PeerId peer) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const gossip::PeerRecord* r = peer_.protocol().directory().find(peer);
+  if (r == nullptr) return std::nullopt;
+  return *r;
+}
+
 std::vector<std::uint8_t> LiveNode::serialize_store() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index::serialize_data_store(store_);
+  return index::serialize_data_store(peer_.store());
 }
 
 bool LiveNode::wait_for_peers(std::size_t n, Duration timeout) {
@@ -900,7 +762,7 @@ bool LiveNode::wait_for_version(PeerId peer, std::uint64_t version, Duration tim
   while (std::chrono::steady_clock::now() < deadline) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const gossip::PeerRecord* r = protocol_.directory().find(peer);
+      const gossip::PeerRecord* r = peer_.protocol().directory().find(peer);
       if (r != nullptr && r->version >= version) return true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -11,41 +11,26 @@
 
 #include "broker/hash_ring.hpp"
 #include "broker/snippet_store.hpp"
-#include "gossip/protocol.hpp"
-#include "index/data_store.hpp"
+#include "core/peer.hpp"
 #include "net/reactor.hpp"
 #include "net/rpc.hpp"
-#include "search/candidate_cache.hpp"
-#include "search/distributed.hpp"
 #include "sim/faults.hpp"
 
 /// \file live_node.hpp
-/// A PlanetP peer running over real TCP sockets: the same gossip::Protocol
-/// the simulator drives, plus the RPC channel for ranked/exhaustive search
-/// and document fetch. This is the live counterpart of the paper's Java
-/// prototype, runnable on loopback or a LAN.
+/// A PlanetP peer running over real TCP sockets: the TCP adapter over
+/// core::Peer (the same peer core core::Node wraps in-process, around the
+/// same gossip::Protocol the simulator drives), plus the RPC channel for
+/// ranked/exhaustive search and document fetch. This is the live counterpart
+/// of the paper's Java prototype, runnable on loopback or a LAN.
 
 namespace planetp::net {
 
-struct LiveNodeConfig {
-  bloom::BloomParams bloom;
-  text::AnalyzerOptions analyzer;
-  gossip::GossipConfig gossip;          ///< use short intervals for local tests
+/// The peer-core knobs (bloom, analyzer, gossip, search and candidate cache;
+/// core::PeerConfig) plus the transport's own. search_retry also bounds the
+/// retries of fetch_document; search_deadline is wall-clock time here.
+struct LiveNodeConfig : core::PeerConfig {
   ReactorConfig reactor;                ///< transport caps, backoff, idle reaping
   Duration rpc_timeout = 3 * kSecond;
-  search::StoppingHeuristic stopping;
-  std::size_t search_group_size = 1;
-
-  /// Failure-aware retrieval knobs (docs/SEARCH.md); defaults reproduce the
-  /// failure-oblivious behaviour on a healthy community.
-  search::RetryPolicy search_retry;     ///< per-peer retry budget for query RPCs
-  Duration search_deadline = 0;         ///< whole-query wall-clock budget; 0 = unlimited
-  Duration search_hedge_threshold = 0;  ///< hedge contacts slower than this; 0 = off
-
-  /// Query hot path (docs/SEARCH.md): decoded-filter store + term→candidate
-  /// cache kept warm by gossiped XOR diffs. Replaces the old per-query
-  /// decode of every directory filter.
-  search::CandidateCacheConfig candidate_cache;
 
   /// Brokers per key: the owner plus this many minus one ring successors.
   /// 1 is the paper's unreplicated brokerage; > 1 survives broker failure
@@ -81,7 +66,7 @@ class LiveNode {
   void start();
   void stop();
 
-  gossip::PeerId id() const { return id_; }
+  gossip::PeerId id() const { return peer_.id(); }
   std::string address() const { return reactor_.address(); }
 
   /// Bootstrap into an existing community through one known member.
@@ -157,6 +142,10 @@ class LiveNode {
   };
   std::vector<PeerInfo> directory_snapshot() const;
 
+  /// Copy of this node's directory record for \p peer (filter wire
+  /// included); nullopt when the peer is unknown.
+  std::optional<gossip::PeerRecord> directory_record(gossip::PeerId peer) const;
+
   /// Serialized snapshot of the local data store (see index/persistence.hpp);
   /// safe to call while the node is live.
   std::vector<std::uint8_t> serialize_store() const;
@@ -169,7 +158,7 @@ class LiveNode {
   bool wait_for_version(gossip::PeerId peer, std::uint64_t version, Duration timeout);
 
   /// The query hot-path cache (stats/introspection; tests and benches).
-  const search::CandidateCache& candidate_cache() const { return filter_cache_; }
+  const search::CandidateCache& candidate_cache() const { return peer_.candidate_cache(); }
 
   /// Transport counters (docs/NET.md "NetStats"): this node's reactor
   /// snapshot with the gossip protocol's dissemination counters merged in
@@ -189,7 +178,12 @@ class LiveNode {
   void gossip_round();
   void send_outgoing(std::vector<gossip::Protocol::Outgoing> batch);
   void handle_rpc(std::uint32_t sender, const RpcMessage& msg);
-  void reply_rpc(std::uint32_t peer, const RpcMessage& msg);
+  /// Fire-and-forget RPC frame to \p peer (dropped when its address is unknown).
+  void send_rpc(std::uint32_t peer, const RpcMessage& msg);
+  /// Our answer to a ranked query: Peer::serve_ranked plus titles (takes mu_).
+  std::vector<RemoteDoc> answer_ranked(const std::unordered_map<std::string, double>& weights);
+  /// Local conjunctive matches with titles. Requires mu_ held.
+  std::vector<RemoteDoc> local_matches(std::string_view query) const;
   /// Synchronous RPC. Returns the response, or nullopt with \p status (when
   /// given) distinguishing kTimeout from kUnreachable — the latter reported
   /// the moment the transport gives up on the address (connect refused,
@@ -197,36 +191,24 @@ class LiveNode {
   std::optional<RpcMessage> call(gossip::PeerId peer, RpcMessage request,
                                  search::ContactStatus* status = nullptr);
   std::string address_of(gossip::PeerId peer) const;
-  void announce_filter_change(std::uint32_t new_keys);
-  /// Broker responsible for \p key given the current directory (requires
-  /// mu_ held). kInvalidPeer when the directory is empty.
-  gossip::PeerId broker_for(const std::string& key) const;
   /// The key's full replica set — the owner plus broker_replication - 1 ring
   /// successors (requires mu_ held). Empty when the directory is empty.
   std::vector<gossip::PeerId> broker_replicas_for(const std::string& key) const;
   /// Feed a query-RPC outcome into the directory's SUSPECT tracking.
   void note_contact_outcome(gossip::PeerId peer, bool ok);
   void sweep_broker_store();
-  /// \p record's decoded filter via the cache, decoding (and re-warming the
-  /// term entries) only when the cached version is stale. Requires mu_ held.
-  std::shared_ptr<const bloom::BloomFilter> cached_filter(const gossip::PeerRecord& record);
-  /// Own filter, projected once per store_.filter_version(). Requires mu_ held.
-  std::shared_ptr<const bloom::BloomFilter> own_filter();
 
-  gossip::PeerId id_;
   LiveNodeConfig config_;
   Reactor reactor_;
   TimePoint fault_origin_ = 0;  ///< start() time; faults run on node-relative time
 
-  mutable std::mutex mu_;  ///< guards store_, protocol_, filter bookkeeping
-  index::DataStore store_;
-  gossip::Protocol protocol_;
-  bloom::BloomFilter last_announced_;
-  broker::SnippetStore broker_store_;  ///< this node's broker role (guarded by mu_)
-  /// Internally synchronized; maintained by the gossip on_apply/on_expire
-  /// hooks (which run under mu_) and read by the query paths.
-  search::CandidateCache filter_cache_;
-  std::uint64_t next_snippet_id_ = 1;
+  /// Guards every peer_ call (Peer takes no locks; its candidate cache is
+  /// internally synchronized) and broker_store_. Peer::serve_ranked alone
+  /// runs outside it, against the store's published epoch snapshot.
+  mutable std::mutex mu_;
+  core::Peer peer_;
+  broker::SnippetStore broker_store_;  ///< this node's broker role
+  std::atomic<std::uint64_t> next_snippet_id_{1};
 
   // Synchronous RPC bookkeeping. Pending calls are keyed by request id and
   // remember the address the request went to, so a transport failure on that
@@ -238,7 +220,7 @@ class LiveNode {
   };
   std::mutex rpc_mu_;
   std::condition_variable rpc_cv_;
-  std::uint64_t next_request_id_ = 1;
+  std::atomic<std::uint64_t> next_request_id_{1};
   std::unordered_map<std::uint64_t, RpcMessage> rpc_responses_;
   std::unordered_map<std::uint64_t, PendingRpc> rpc_pending_;
 

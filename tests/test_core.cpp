@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bloom/wire.hpp"
+#include "index/xml.hpp"
 #include "util/byte_buffer.hpp"
 
 namespace planetp::core {
@@ -157,6 +158,23 @@ TEST(Community, BrokerSnippetsFoundBeforeGossipInGossipMode) {
   const auto result = b.exhaustive_search("zeppelin");
   // ...but the broker ring already serves the snippet.
   EXPECT_FALSE(result.broker_hits.empty());
+}
+
+TEST(Community, RepublishReplacesTheBrokerSnippet) {
+  // A republished document's old snippet (old XML, old keys) must stop
+  // answering broker lookups; the new content is brokered under its own keys.
+  Community community(small_config());
+  Node& a = community.create_node();
+  Node& b = community.create_node();
+  const DocumentId doc = a.publish_text("alpha", "alpha alpha");
+  ASSERT_EQ(b.exhaustive_search("alpha").broker_hits.size(), 1u);
+
+  const std::string beta = index::wrap_text_as_xml("beta", "beta beta");
+  ASSERT_TRUE(a.republish(doc, beta));
+  EXPECT_TRUE(b.exhaustive_search("alpha").broker_hits.empty());
+  const auto hits = b.exhaustive_search("beta").broker_hits;
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].xml, beta);
 }
 
 TEST(Community, GossipModeConvergesAfterPublish) {
