@@ -39,14 +39,16 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 # block-max pruned readers racing a live writer (shared compressed base,
 # epoch swaps) — the PrunedTopK scope picks up its concurrent test.
 # test_conformance drives a LiveCluster's threads through publish, gossip
-# and RPC search next to an in-process Community.
+# and RPC search next to an in-process Community. test_rank_floor checks the
+# k + floor contact against the all-matches oracle while the stores' merge
+# threads run.
 cmake -B build-tsan -S . -DPLANETP_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target test_search test_search_faults test_sim test_data_store test_epoch_snapshot \
            test_reactor test_net test_compact_directory test_compressed_at_rest \
-           test_lazy_gossip test_pruned_topk test_conformance
+           test_lazy_gossip test_pruned_topk test_conformance test_rank_floor
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'DistributedSearchConcurrent|ParallelStepping|ParallelPublish|MixedWorkload|Reactor|LiveNode.RpcFailsFastWhenPeerCrashes|CompactDirectory|CompressedAtRest|LazyGossip|PrunedTopK|Conformance'
+  -R 'DistributedSearchConcurrent|KAndFloorMatchAllMatches|ParallelStepping|ParallelPublish|MixedWorkload|Reactor|LiveNode.RpcFailsFastWhenPeerCrashes|CompactDirectory|CompressedAtRest|LazyGossip|PrunedTopK|Conformance'
 
 # Query hot-path smoke run + perf-regression guard: search_throughput exits
 # non-zero when the warm CandidateCache is not >=5x the uncached scan at 5000

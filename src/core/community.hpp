@@ -71,9 +71,8 @@ class Community {
   /// Ranked-query a peer; reports kUnreachable when the target is offline
   /// (and notifies the caller's gossip protocol, which marks the peer
   /// offline locally).
-  search::PeerSearchResult contact_ranked(
-      PeerId caller, PeerId target,
-      const std::unordered_map<std::string, double>& term_weights);
+  search::PeerSearchResult contact_ranked(PeerId caller, PeerId target,
+                                          const search::PeerQuery& query);
 
   /// Exhaustive-query a peer; empty when the target is offline.
   std::vector<SearchHit> contact_exhaustive(PeerId caller, PeerId target,

@@ -126,10 +126,9 @@ std::vector<SearchHit> Node::ranked_search(std::string_view query, std::size_t k
 
   const Peer::RankedPlan plan = peer_.plan_ranked(k);
   const auto contact = [this](std::uint32_t peer,
-                              const std::unordered_map<std::string, double>& weights)
-      -> search::PeerSearchResult {
-    if (peer == id()) return handle_ranked_query(weights);
-    return community_->contact_ranked(id(), peer, weights);
+                              const search::PeerQuery& ask) -> search::PeerSearchResult {
+    if (peer == id()) return handle_ranked_query(ask);
+    return community_->contact_ranked(id(), peer, ask);
   };
   const auto result = search::tfipf_search(terms, plan.view, contact, plan.options);
   peer_.record_outcomes(result.outcomes, community_->now());

@@ -137,10 +137,9 @@ class Node {
   Community* community() { return community_; }
 
   /// Evaluate a remote ranked query against the local index (eq. 2 with the
-  /// searcher's term weights).
-  std::vector<search::ScoredDoc> handle_ranked_query(
-      const std::unordered_map<std::string, double>& term_weights) const {
-    return peer_.serve_ranked(term_weights);
+  /// searcher's term weights; Peer::serve_ranked's k and floor cut).
+  std::vector<search::ScoredDoc> handle_ranked_query(const search::PeerQuery& query) const {
+    return peer_.serve_ranked(query);
   }
 
   /// Evaluate a remote exhaustive query locally; returns full hits.

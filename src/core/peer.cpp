@@ -178,11 +178,12 @@ void Peer::record_outcomes(const std::vector<search::PeerOutcome>& outcomes, Tim
   }
 }
 
-std::vector<search::ScoredDoc> Peer::serve_ranked(
-    const std::unordered_map<std::string, double>& term_weights) const {
+std::vector<search::ScoredDoc> Peer::serve_ranked(const search::PeerQuery& query) const {
   // Rank against the published epoch snapshot — byte-identical to scoring
   // a sequential index, and safe against concurrent publishes on this store.
-  return search::top_k(*store_.snapshot(), term_weights, search::kAllMatches);
+  auto docs = search::top_k(*store_.snapshot(), query.weights, query.k);
+  search::cut_to_query(docs, query);
+  return docs;
 }
 
 }  // namespace planetp::core

@@ -87,9 +87,10 @@ class Peer {
   void record_outcomes(const std::vector<search::PeerOutcome>& outcomes, TimePoint now);
 
   /// Evaluate a remote ranked query (eq. 2 with the searcher's term weights)
-  /// against the published epoch snapshot: every matching document.
-  std::vector<search::ScoredDoc> serve_ranked(
-      const std::unordered_map<std::string, double>& term_weights) const;
+  /// against the published epoch snapshot: the top query.k matches that rank
+  /// strictly before query.floor (search::cut_to_query). The only serving
+  /// rule; a bare weights map asks for every match.
+  std::vector<search::ScoredDoc> serve_ranked(const search::PeerQuery& query) const;
 
  private:
   void announce(std::size_t terms_before, TimePoint now);

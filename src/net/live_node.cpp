@@ -294,11 +294,10 @@ void LiveNode::send_rpc(std::uint32_t peer, const RpcMessage& msg) {
   reactor_.send(addr, std::move(frame), SendClass::kRpc);
 }
 
-std::vector<RemoteDoc> LiveNode::answer_ranked(
-    const std::unordered_map<std::string, double>& weights) {
+std::vector<RemoteDoc> LiveNode::answer_ranked(const search::PeerQuery& query) {
   // Rank lock-free against the published epoch snapshot; mu_ is only taken
   // afterwards for the title lookups.
-  const auto scored = peer_.serve_ranked(weights);
+  const auto scored = peer_.serve_ranked(query);
   std::vector<RemoteDoc> docs;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& d : scored) {
@@ -323,7 +322,11 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     resp.request_id = req->request_id;
     std::unordered_map<std::string, double> weights;
     for (const WeightedTerm& t : req->weights) weights.emplace(t.term, t.weight);
-    resp.docs = answer_ranked(weights);
+    std::optional<search::ScoredDoc> floor;
+    if (req->floor.has_value()) {
+      floor = search::ScoredDoc{{req->floor->peer, req->floor->local}, req->floor->score};
+    }
+    resp.docs = answer_ranked(search::PeerQuery(weights, static_cast<std::size_t>(req->k), floor));
     send_rpc(sender, resp);
     return;
   }
@@ -469,16 +472,19 @@ std::vector<LiveHit> LiveNode::ranked_search(std::string_view query, std::size_t
 
   std::unordered_map<index::DocumentId, std::string, index::DocumentIdHash> titles;
   const auto contact = [&](std::uint32_t peer,
-                           const std::unordered_map<std::string, double>& weights)
-      -> search::PeerSearchResult {
+                           const search::PeerQuery& ask) -> search::PeerSearchResult {
     std::vector<RemoteDoc> answer;
     Duration latency = 0;
     if (peer == id()) {
-      answer = answer_ranked(weights);
+      answer = answer_ranked(ask);
     } else {
       RankedRequest req;
-    req.request_id = next_request_id_++;
-      for (const auto& [term, weight] : weights) req.weights.push_back({term, weight});
+      req.request_id = next_request_id_++;
+      for (const auto& [term, weight] : ask.weights) req.weights.push_back({term, weight});
+      req.k = ask.k;
+      if (ask.floor.has_value()) {
+        req.floor = RankFloor{ask.floor->doc.peer, ask.floor->doc.local, ask.floor->score};
+      }
       const TimePoint sent_at = steady_micros();
       search::ContactStatus status = search::ContactStatus::kTimeout;
       auto resp = call(peer, req, &status);

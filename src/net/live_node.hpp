@@ -181,7 +181,7 @@ class LiveNode {
   /// Fire-and-forget RPC frame to \p peer (dropped when its address is unknown).
   void send_rpc(std::uint32_t peer, const RpcMessage& msg);
   /// Our answer to a ranked query: Peer::serve_ranked plus titles (takes mu_).
-  std::vector<RemoteDoc> answer_ranked(const std::unordered_map<std::string, double>& weights);
+  std::vector<RemoteDoc> answer_ranked(const search::PeerQuery& query);
   /// Local conjunctive matches with titles. Requires mu_ held.
   std::vector<RemoteDoc> local_matches(std::string_view query) const;
   /// Synchronous RPC. Returns the response, or nullopt with \p status (when

@@ -76,6 +76,13 @@ struct Encoder {
       w.str(t.term);
       w.f64(t.weight);
     }
+    w.varint(m.k);
+    w.u8(m.floor.has_value() ? 1 : 0);
+    if (m.floor.has_value()) {
+      w.u32(m.floor->peer);
+      w.u32(m.floor->local);
+      w.f64(m.floor->score);
+    }
   }
   void operator()(const RankedResponse& m) const {
     w.u8(static_cast<std::uint8_t>(Tag::kRankedResponse));
@@ -150,6 +157,16 @@ RpcMessage decode_rpc(std::span<const std::uint8_t> data) {
         t.term = r.str();
         t.weight = r.f64();
         m.weights.push_back(std::move(t));
+      }
+      m.k = r.varint();
+      const std::uint8_t has_floor = r.u8();
+      if (has_floor > 1) throw std::runtime_error("decode_rpc: bad floor flag");
+      if (has_floor == 1) {
+        RankFloor f;
+        f.peer = r.u32();
+        f.local = r.u32();
+        f.score = r.f64();
+        m.floor = f;
       }
       return m;
     }

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -26,9 +28,20 @@ struct RemoteDoc {
   std::string title;
 };
 
+/// The searcher's current k-th merged result (search::PeerQuery::floor).
+struct RankFloor {
+  std::uint32_t peer = 0;
+  std::uint32_t local = 0;
+  double score = 0.0;
+};
+
+/// A ranked query: serve at most k documents, and only those that rank
+/// strictly before the floor when one is set (docs/SEARCH.md "k and floor").
 struct RankedRequest {
   std::uint64_t request_id = 0;
   std::vector<WeightedTerm> weights;
+  std::uint64_t k = std::numeric_limits<std::uint64_t>::max();  ///< max = every match
+  std::optional<RankFloor> floor;
 };
 
 struct RankedResponse {

@@ -1,10 +1,9 @@
 #include "search/distributed.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "search/candidate_cache.hpp"
-#include <unordered_set>
-#include <utility>
 
 namespace planetp::search {
 
@@ -32,6 +31,15 @@ Duration RetryPolicy::backoff_before(std::uint32_t retry, Rng& rng) const {
     }
   }
   return backoff;
+}
+
+void cut_to_query(std::vector<ScoredDoc>& ranked, const PeerQuery& query) {
+  truncate_top_k(ranked, query.k);
+  if (!query.floor.has_value()) return;
+  const ScoredDoc& floor = *query.floor;
+  const auto beaten = std::partition_point(
+      ranked.begin(), ranked.end(), [&](const ScoredDoc& d) { return ranks_before(d, floor); });
+  ranked.erase(beaten, ranked.end());
 }
 
 std::vector<RankedPeer> rank_peers(const IpfTable& ipf) {
@@ -120,6 +128,10 @@ DistributedSearchResult tfipf_search(const std::vector<std::string>& query_terms
   double attempted_mass = 0.0;
   double ok_mass = 0.0;
 
+  // The top-k of everything received so far: at most k docs, sorted.
+  std::vector<ScoredDoc> merged;
+  std::size_t no_contribution_streak = 0;
+
   // Contact one peer with bounded retry (single attempt for hedges). Records
   // the outcome, the time charged, and the coverage masses.
   auto contact_peer = [&](const RankedPeer& rp,
@@ -130,17 +142,24 @@ DistributedSearchResult tfipf_search(const std::vector<std::string>& query_terms
     result.contacted.push_back(rp.peer);
     attempted_mass += rp.rank;
 
+    // The merged top-k does not move while this peer is retried, so one
+    // query (k, plus the current k-th result as floor) serves every attempt.
+    std::optional<ScoredDoc> floor;
+    if (opts.k > 0 && merged.size() >= opts.k) floor = merged[opts.k - 1];
+    const PeerQuery query(weights, opts.k, floor);
+
     std::vector<ScoredDoc> docs;
     const std::uint32_t budget =
         hedged ? 1u : std::max<std::uint32_t>(1, opts.retry.max_attempts);
     for (std::uint32_t attempt = 1; attempt <= budget; ++attempt) {
-      PeerSearchResult res = contact(rp.peer, weights);
+      PeerSearchResult res = contact(rp.peer, query);
       outcome.attempts = attempt;
       outcome.status = res.status;
       outcome.latency += res.latency;
       charge(res.latency);
       if (res.is_ok()) {
         docs = std::move(res.docs);
+        result.docs_received += docs.size();
         break;
       }
       // No route at all: retrying immediately cannot help inside one query.
@@ -163,24 +182,23 @@ DistributedSearchResult tfipf_search(const std::vector<std::string>& query_terms
     return {ok, std::move(docs)};
   };
 
-  std::vector<ScoredDoc> merged;
-  std::size_t no_contribution_streak = 0;
-
+  // Merge one answer into the top-k and report eq. 4's verdict: did any of
+  // \p local make it into the top-k? A contact may return more than k docs
+  // (all-matches contacts ignore the query's k), so only the top-k is sorted.
   auto merge_docs = [&](const std::vector<ScoredDoc>& local) {
+    if (local.empty()) return false;
     merged.insert(merged.end(), local.begin(), local.end());
-    std::sort(merged.begin(), merged.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return a.doc < b.doc;
-    });
-  };
-  auto contributed_to_top_k = [&](const std::vector<ScoredDoc>& local) {
-    std::unordered_set<index::DocumentId, index::DocumentIdHash> top;
-    const std::size_t top_n = std::min(opts.k, merged.size());
-    for (std::size_t t = 0; t < top_n; ++t) top.insert(merged[t].doc);
-    for (const ScoredDoc& d : local) {
-      if (top.contains(d.doc)) return true;
+    if (merged.size() <= opts.k) {
+      std::sort(merged.begin(), merged.end(), ranks_before);
+      return true;  // nothing was cut: every doc of local is in the top-k
     }
-    return false;
+    const auto kth = merged.begin() + static_cast<std::ptrdiff_t>(opts.k);
+    std::partial_sort(merged.begin(), kth, merged.end(), ranks_before);
+    merged.erase(kth, merged.end());
+    if (merged.empty()) return false;
+    const ScoredDoc& last = merged.back();
+    return std::any_of(local.begin(), local.end(),
+                       [&](const ScoredDoc& d) { return !ranks_before(last, d); });
   };
 
   // Candidate walk: a single cursor over the eq. 3 ranking. Hedges and
@@ -218,8 +236,7 @@ DistributedSearchResult tfipf_search(const std::vector<std::string>& query_terms
         continue;  // substitution: same slot, next candidate
       }
 
-      merge_docs(local);
-      const bool contributed = contributed_to_top_k(local);
+      const bool contributed = merge_docs(local);
 
       // Hedging: a successful-but-slow contact also fires one duplicate
       // request at the next-ranked candidate to cut tail latency.
@@ -247,7 +264,6 @@ DistributedSearchResult tfipf_search(const std::vector<std::string>& query_terms
       (result.failed_peers == 0 || attempted_mass <= 0.0) ? 1.0 : ok_mass / attempted_mass;
   result.elapsed = elapsed_now();
 
-  truncate_top_k(merged, opts.k);
   result.docs = std::move(merged);
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -109,14 +110,38 @@ struct PeerSearchResult {
   bool is_ok() const { return status == ContactStatus::kOk; }
 };
 
-/// Contact function: evaluate the weighted query at a peer and report the
-/// outcome. In-process communities call straight into the peer's index; the
-/// live runtime issues an RPC and maps timeout/decode failures onto the
-/// status codes. tfipf_search may invoke it several times for the same peer
+/// What one contact asks of a peer (§5.2): the searcher's term weights, at
+/// most k documents, and — once the searcher holds k merged results — its
+/// current k-th result as an exclusive floor. Only documents that could
+/// still enter the searcher's top-k need to travel (docs/SEARCH.md "k and
+/// floor"). Converts implicitly from and to the weights map, with
+/// k = kAllMatches and no floor, so a contact that takes just the weights
+/// returns every match, which the searcher's merge also accepts.
+struct PeerQuery {
+  using Weights = std::unordered_map<std::string, double>;
+
+  const Weights& weights;  ///< borrowed: the caller keeps the map alive for the contact
+  std::size_t k = kAllMatches;
+  std::optional<ScoredDoc> floor;  ///< serve only docs that rank strictly before it
+
+  PeerQuery(const Weights& w) : weights(w) {}  // NOLINT: implicit
+  PeerQuery(const Weights& w, std::size_t top, std::optional<ScoredDoc> below)
+      : weights(w), k(top), floor(below) {}
+  operator const Weights&() const { return weights; }  // NOLINT: implicit
+};
+
+/// The serving rule for \p query, applied to a peer's ranked matches
+/// (sorted by ranks_before): keep at most query.k of them, and only those
+/// that rank strictly before query.floor.
+void cut_to_query(std::vector<ScoredDoc>& ranked, const PeerQuery& query);
+
+/// Contact function: evaluate the query at a peer and report the outcome.
+/// In-process communities call straight into the peer's index; the live
+/// runtime issues an RPC and maps timeout/decode failures onto the status
+/// codes. tfipf_search may invoke it several times for the same peer
 /// (bounded retry) and concurrently from hedged searches, so it must be
 /// re-entrant with respect to the data it captures.
-using PeerSearchFn = std::function<PeerSearchResult(
-    std::uint32_t peer, const std::unordered_map<std::string, double>& term_weights)>;
+using PeerSearchFn = std::function<PeerSearchResult(std::uint32_t peer, const PeerQuery& query)>;
 
 /// Bounded retry with exponential backoff and deterministic jitter.
 struct RetryPolicy {
@@ -176,6 +201,7 @@ struct DistributedSearchResult {
   std::size_t substituted_peers = 0;      ///< failures replaced by a lower-ranked candidate
   std::size_t retries = 0;                ///< extra attempts beyond each peer's first
   std::size_t hedged_contacts = 0;        ///< duplicate requests to next-ranked peers
+  std::size_t docs_received = 0;          ///< docs returned over all answered contacts
   /// Candidate mass reached: eq. 3 mass of peers that answered divided by the
   /// mass of peers attempted. 1.0 means every contacted peer answered (a
   /// complete answer as far as the stopping rule saw); < 1.0 means the result

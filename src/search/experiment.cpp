@@ -33,9 +33,10 @@ void RetrievalSetup::prime_cache(CandidateCache& cache) const {
 }
 
 PeerSearchFn RetrievalSetup::local_contact() const {
-  return [this](std::uint32_t peer,
-                const std::unordered_map<std::string, double>& weights) {
-    return score_documents(peer_indexes[peer], weights);
+  return [this](std::uint32_t peer, const PeerQuery& query) {
+    auto docs = score_documents(peer_indexes[peer], query.weights);
+    cut_to_query(docs, query);
+    return docs;
   };
 }
 

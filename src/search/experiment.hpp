@@ -31,7 +31,8 @@ struct RetrievalSetup {
   /// Directory view handed to the distributed search.
   std::vector<PeerFilter> filter_views() const;
 
-  /// Contact function evaluating queries directly against peer indexes.
+  /// Contact function evaluating queries directly against peer indexes,
+  /// served by the same k and floor cut as a live peer (cut_to_query).
   PeerSearchFn local_contact() const;
 
   /// Register every peer filter with \p cache (non-owning: the setup must

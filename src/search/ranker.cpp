@@ -852,7 +852,7 @@ std::vector<ScoredDoc> top_k(const index::EpochSnapshot& snap,
       return snapshot_scored_at(snap, slot, s.acc[slot]);
     };
     if (k < s.touched.size()) return select_top_k(s.touched, k, scored);
-    // Every match is kept: one sort, no heap (the all-matches remote path).
+    // Every match is kept: one sort, no heap.
     std::vector<ScoredDoc> out;
     out.reserve(s.touched.size());
     for (const std::uint32_t slot : s.touched) out.push_back(scored(slot));

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <limits>
+#include <span>
 #include <thread>
 
 #include "index/persistence.hpp"
@@ -99,6 +102,49 @@ TEST(Rpc, RankedRoundtrip) {
   EXPECT_EQ(out->weights[0].term, "gossip");
   EXPECT_DOUBLE_EQ(out->weights[1].weight, 0.25);
   EXPECT_EQ(rpc_request_id(decoded), 99u);
+  // Defaults: every match, no floor.
+  EXPECT_EQ(out->k, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(out->floor.has_value());
+
+  req.k = 10;
+  req.floor = RankFloor{7, 4242, 0.125};
+  const RpcMessage floored = decode_rpc(encode_rpc(req));
+  const auto* f = std::get_if<RankedRequest>(&floored);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->k, 10u);
+  ASSERT_TRUE(f->floor.has_value());
+  EXPECT_EQ(f->floor->peer, 7u);
+  EXPECT_EQ(f->floor->local, 4242u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(f->floor->score),
+            std::bit_cast<std::uint64_t>(0.125));
+  ASSERT_EQ(f->weights.size(), 2u);
+  EXPECT_EQ(f->weights[1].term, "bloom");
+}
+
+TEST(Rpc, FlooredRankedRequestTruncatedAnywhereThrows) {
+  RankedRequest req;
+  req.request_id = 3;
+  req.weights = {{"gossip", 1.5}};
+  req.k = 300;  // a two-byte varint
+  req.floor = RankFloor{1, 2, 0.5};
+  const std::vector<std::uint8_t> wire = encode_rpc(req);
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_ANY_THROW((void)decode_rpc(std::span<const std::uint8_t>(wire.data(), len)))
+        << "prefix of " << len << " of " << wire.size() << " bytes";
+  }
+}
+
+TEST(Rpc, RankedRequestRejectsBadFloorFlag) {
+  RankedRequest req;
+  req.request_id = 3;
+  req.weights = {{"gossip", 1.5}};
+  req.k = 10;
+  std::vector<std::uint8_t> wire = encode_rpc(req);
+  ASSERT_EQ(wire.back(), 0u);  // the floor flag closes an unfloored request
+  for (const std::uint8_t flag : {std::uint8_t{2}, std::uint8_t{0x80}, std::uint8_t{0xff}}) {
+    wire.back() = flag;
+    EXPECT_THROW((void)decode_rpc(wire), std::runtime_error) << "flag " << int{flag};
+  }
 }
 
 TEST(Rpc, ResponseRoundtrip) {
