@@ -20,15 +20,13 @@
 ///      value and peak RSS below twice the recorded value per size.
 /// Usage: community_scale [--quick] [--baseline <file>]
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/mem_sampler.hpp"
+#include "common/harness.hpp"
 #include "sim/community.hpp"
 
 using namespace planetp;
@@ -49,13 +47,6 @@ struct ScaleResult {
   double hwm_mb = 0.0;          ///< VmHWM (process peak, cumulative)
   bool consistent = false;
 };
-
-double wall_now_s() {
-  return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now().time_since_epoch())
-                                 .count()) /
-         1e9;
-}
 
 /// Spot consistency at scale: directories_consistent() is O(N^2), so compare
 /// a sample of peers against peer 0's summary instead. With the shared base
@@ -83,7 +74,7 @@ ScaleResult run_size(std::size_t peers, std::size_t events) {
   const auto t = community.add_tracker("all", [](gossip::PeerId) { return true; });
   community.start_converged();
 
-  const double t0 = wall_now_s();
+  const double t0 = bench::now_s();
   const std::uint64_t rounds0 = community.rounds_executed();
 
   TimePoint at = kMinute;
@@ -99,7 +90,7 @@ ScaleResult run_size(std::size_t peers, std::size_t events) {
   ScaleResult r;
   r.peers = peers;
   r.events = events;
-  r.wall_s = wall_now_s() - t0;
+  r.wall_s = bench::now_s() - t0;
   r.rounds = community.rounds_executed() - rounds0;
   r.rounds_per_sec = r.wall_s > 0.0 ? static_cast<double>(r.rounds) / r.wall_s : 0.0;
   const auto& durations = community.tracker(t).durations().samples();
@@ -111,9 +102,9 @@ ScaleResult run_size(std::size_t peers, std::size_t events) {
   }
   r.scan_per_round = r.rounds > 0 ? static_cast<double>(scanned) / static_cast<double>(r.rounds) : 0.0;
   r.consistent = spot_consistent(community, peers);
-  const benchutil::MemSample mem = benchutil::sample_memory();
-  r.rss_mb = benchutil::to_mb(mem.vm_rss_kb);
-  r.hwm_mb = benchutil::to_mb(mem.vm_hwm_kb);
+  const bench::MemSample mem = bench::sample_memory();
+  r.rss_mb = bench::to_mb(mem.vm_rss_kb);
+  r.hwm_mb = bench::to_mb(mem.vm_hwm_kb);
   return r;
 }
 
@@ -134,41 +125,25 @@ double decoded_model_mb(std::size_t peers) {
   return static_cast<double>(peers) * static_cast<double>(peers) * per_record / (1024.0 * 1024.0);
 }
 
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    }
-  }
+  const bench::Args args = bench::parse_args_or_exit("community_scale", argc, argv);
+  bench::Report report("community_scale", args);
 
   // Ascending, so VmHWM at each sample attributes to the size that set it.
-  const std::vector<std::size_t> sizes =
-      quick ? std::vector<std::size_t>{2000, 5000} : std::vector<std::size_t>{5000, 25000, 100000};
+  const std::vector<std::size_t> sizes = args.quick ? std::vector<std::size_t>{2000, 5000}
+                                                    : std::vector<std::size_t>{5000, 25000, 100000};
 
   std::vector<ScaleResult> results;
   for (std::size_t n : sizes) {
-    const std::size_t events = quick ? 4 : (n >= 100000 ? 6 : 12);
+    const std::size_t events = args.quick ? 4 : (n >= 100000 ? 6 : 12);
     results.push_back(run_size(n, events));
     print_result(results.back());
   }
 
   std::ostringstream os;
-  os << "{\n  \"bench\": \"community_scale\",\n  \"quick\": " << (quick ? "true" : "false")
-     << ",\n  \"results\": [\n";
+  os << "[\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];
     os << "    {\"peers\": " << r.peers << ", \"events\": " << r.events
@@ -180,75 +155,38 @@ int main(int argc, char** argv) {
        << ", \"hwm_mb\": " << r.hwm_mb << ", \"decoded_model_mb\": " << decoded_model_mb(r.peers)
        << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  os << "  ],\n";
+  os << "  ]";
+  report.raw("results", os.str());
   for (const ScaleResult& r : results) {
-    os << "  \"rps_" << r.peers << "\": " << r.rounds_per_sec << ",\n";
+    report.floor("rps_" + std::to_string(r.peers), r.rounds_per_sec);
   }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    os << "  \"rss_hwm_mb_" << results[i].peers << "\": " << results[i].hwm_mb
-       << (i + 1 < results.size() ? "," : "") << "\n";
+  for (const ScaleResult& r : results) {
+    const std::string key = "rss_hwm_mb_" + std::to_string(r.peers);
+    // VmHWM reads 0 without procfs: the measurement is unknown, so the RSS
+    // ceiling has nothing to compare.
+    if (r.hwm_mb > 0.0) {
+      report.ceiling(key, r.hwm_mb);
+    } else {
+      report.value(key, r.hwm_mb);
+    }
   }
-  os << "}\n";
-  std::ofstream("BENCH_community_scale.json") << os.str();
-  std::printf("wrote BENCH_community_scale.json\n");
 
-  int rc = 0;
   for (const ScaleResult& r : results) {
     if (r.converged_events != r.events || !r.consistent) {
-      std::fprintf(stderr, "FAIL: %zu peers: %zu/%zu events converged, consistent=%d\n", r.peers,
-                   r.converged_events, r.events, r.consistent ? 1 : 0);
-      rc = 1;
+      report.fail("%zu peers: %zu/%zu events converged, consistent=%d", r.peers,
+                  r.converged_events, r.events, r.consistent ? 1 : 0);
     }
     const double budget_mb = std::max(decoded_model_mb(r.peers) * 0.10, 256.0);
     if (r.hwm_mb > 0.0 && r.hwm_mb > budget_mb) {
-      std::fprintf(stderr,
-                   "FAIL: %zu peers: peak RSS %.0f MB exceeds %.0f MB "
-                   "(10%% of the decoded cost model)\n",
-                   r.peers, r.hwm_mb, budget_mb);
-      rc = 1;
+      report.fail("%zu peers: peak RSS %.0f MB exceeds %.0f MB (10%% of the decoded cost model)",
+                  r.peers, r.hwm_mb, budget_mb);
     }
     // The O(changed) property: work per round must not scale with N.
     const double scan_budget = 8.0 * static_cast<double>(r.events) + 16.0;
     if (r.scan_per_round > scan_budget) {
-      std::fprintf(stderr, "FAIL: %zu peers: %.1f entries scanned per round (budget %.1f)\n",
-                   r.peers, r.scan_per_round, scan_budget);
-      rc = 1;
+      report.fail("%zu peers: %.1f entries scanned per round (budget %.1f)", r.peers,
+                  r.scan_per_round, scan_budget);
     }
   }
-
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    for (const ScaleResult& r : results) {
-      const double rps = parse_key(baseline, "rps_" + std::to_string(r.peers));
-      if (rps > 0.0) {
-        if (r.rounds_per_sec < rps / 2.0) {
-          std::fprintf(stderr, "FAIL: %zu peers: %.0f rounds/s vs baseline %.0f (>2x drop)\n",
-                       r.peers, r.rounds_per_sec, rps);
-          rc = 1;
-        } else {
-          std::printf("baseline rps at %zu peers: %.0f vs recorded %.0f — ok\n", r.peers,
-                      r.rounds_per_sec, rps);
-        }
-      }
-      const double hwm = parse_key(baseline, "rss_hwm_mb_" + std::to_string(r.peers));
-      if (hwm > 0.0 && r.hwm_mb > 0.0) {
-        if (r.hwm_mb > hwm * 2.0) {
-          std::fprintf(stderr, "FAIL: %zu peers: peak RSS %.0f MB vs baseline %.0f MB (>2x)\n",
-                       r.peers, r.hwm_mb, hwm);
-          rc = 1;
-        } else {
-          std::printf("baseline RSS at %zu peers: %.0f MB vs recorded %.0f MB — ok\n", r.peers,
-                      r.hwm_mb, hwm);
-        }
-      }
-    }
-  }
-  return rc;
+  return report.finish();
 }

@@ -18,7 +18,7 @@
 ///
 /// Reports wall-clock gossip rounds/sec (numerator: SimCommunity::
 /// rounds_executed), simulated bytes per round — split per message type —
-/// heap allocations per round (counted by this TU's operator new), and the
+/// heap allocations per round (counted by common/alloc_counter.cpp), and the
 /// protocol's dissemination counters. Emits BENCH_gossip_throughput.json.
 /// Built-in gates:
 ///   1. cached and uncached runs must be behaviourally identical — same
@@ -39,43 +39,13 @@
 /// plus convergence — cheap enough for the ASan leg of scripts/check.sh.
 
 #include <array>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/harness.hpp"
 #include "sim/community.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation counter: every throwing/sized/array operator new in the process
-// funnels through here (this TU's definitions replace the library's), so the
-// delta across a timed window counts real heap allocations on the gossip
-// path. Aligned variants keep their default definitions; plain delete always
-// pairs with plain new, so free() is the right inverse.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace planetp;
 using namespace planetp::sim;
@@ -127,13 +97,6 @@ struct RunResult {
   }
 };
 
-double wall_now_s() {
-  return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now().time_since_epoch())
-                                 .count()) /
-         1e9;
-}
-
 /// One community absorbing `events` filter changes (one every 15 simulated
 /// seconds, rotating origins), then draining until quiet. Only the absorb +
 /// drain window is timed: community construction and the converged bootstrap
@@ -168,8 +131,8 @@ RunResult run_mode(Mode mode, std::size_t peers, std::size_t events) {
   const auto types_bytes0 = community.stats().bytes_by_type();
   const auto types_msgs0 = community.stats().messages_by_type();
   const gossip::GossipStats gossip0 = community.stats().gossip_stats();
-  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-  const double t0 = wall_now_s();
+  const std::uint64_t allocs0 = bench::allocations();
+  const double t0 = bench::now_s();
 
   TimePoint at = kMinute;
   community.run_until(at);
@@ -182,8 +145,8 @@ RunResult run_mode(Mode mode, std::size_t peers, std::size_t events) {
   community.run_until(at + 12 * kMinute);
 
   RunResult r;
-  r.wall_s = wall_now_s() - t0;
-  r.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+  r.wall_s = bench::now_s() - t0;
+  r.allocs = bench::allocations() - allocs0;
   r.rounds = community.rounds_executed() - rounds0;
   r.rounds_per_sec = r.wall_s > 0.0 ? static_cast<double>(r.rounds) / r.wall_s : 0.0;
   r.bytes = community.stats().total_bytes() - bytes0;
@@ -298,85 +261,64 @@ void append_mode(std::ostringstream& os, const char* name, const RunResult& r) {
      << ", \"wants_served\": " << r.gossip.wants_served << "}";
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 /// Gate 4: lazy pushes nothing blind and a converged community re-delivers
 /// (nearly) nothing. The handful of tolerated duplicates are want/pull races
 /// — two peers serving the same id before either delivery lands.
-int check_lazy_counters(std::size_t peers, const RunResult& lazy) {
-  int rc = 0;
+void check_lazy_counters(std::size_t peers, const RunResult& lazy, bench::Report& report) {
   if (lazy.gossip.payloads_sent != 0) {
-    std::fprintf(stderr, "FAIL: lazy mode pushed %llu blind payloads at %zu peers (want 0)\n",
-                 static_cast<unsigned long long>(lazy.gossip.payloads_sent), peers);
-    rc = 1;
+    report.fail("lazy mode pushed %llu blind payloads at %zu peers (want 0)",
+                static_cast<unsigned long long>(lazy.gossip.payloads_sent), peers);
   }
   const std::uint64_t dup_budget = lazy.events * 2 + 8;
   if (lazy.gossip.duplicate_payloads > dup_budget) {
-    std::fprintf(stderr,
-                 "FAIL: lazy mode saw %llu duplicate payload deliveries at %zu peers "
-                 "(budget %llu)\n",
-                 static_cast<unsigned long long>(lazy.gossip.duplicate_payloads), peers,
-                 static_cast<unsigned long long>(dup_budget));
-    rc = 1;
+    report.fail("lazy mode saw %llu duplicate payload deliveries at %zu peers (budget %llu)",
+                static_cast<unsigned long long>(lazy.gossip.duplicate_payloads), peers,
+                static_cast<unsigned long long>(dup_budget));
   }
-  return rc;
+}
+
+/// Every event converged and every directory ended consistent.
+void check_converged(const char* name, std::size_t peers, const RunResult& r,
+                     bench::Report& report) {
+  if (!r.consistent || r.durations.size() != r.events) {
+    report.fail("%s run at %zu peers did not converge (%zu/%zu events)", name, peers,
+                r.durations.size(), r.events);
+  }
 }
 
 /// --lazy-smoke: a small lazy + hybrid community under the sanitizer build.
 /// Exercises the digest/want/serve path and the delta-summary path end to
 /// end, then applies the convergence and counter gates (not the byte-ratio
-/// gate: at smoke scale the full-summary baseline is cheap anyway).
-int run_lazy_smoke() {
+/// gate: at smoke scale the full-summary baseline is cheap anyway). Writes no
+/// BENCH_*.json.
+int run_lazy_smoke(bench::Report& report) {
   constexpr std::size_t kPeers = 300;
   constexpr std::size_t kEvents = 3;
-  int rc = 0;
   for (Mode m : {Mode::kLazy, Mode::kHybrid}) {
     const RunResult r = run_mode(m, kPeers, kEvents);
     print_mode(m, r);
     print_dissemination(m, r);
-    if (!r.consistent || r.durations.size() != kEvents) {
-      std::fprintf(stderr, "FAIL: %s smoke did not converge (%zu/%zu events)\n", mode_name(m),
-                   r.durations.size(), kEvents);
-      rc = 1;
-    }
-    if (m == Mode::kLazy) rc |= check_lazy_counters(kPeers, r);
+    check_converged(mode_name(m), kPeers, r, report);
+    if (m == Mode::kLazy) check_lazy_counters(kPeers, r, report);
   }
-  return rc;
+  return report.failed() ? 1 : 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool lazy_smoke = false;
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--lazy-smoke") == 0) {
-      lazy_smoke = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    }
-  }
-  if (lazy_smoke) return run_lazy_smoke();
+  const bench::Args args =
+      bench::parse_args_or_exit("gossip_throughput", argc, argv, {"--lazy-smoke"});
+  bench::Report report("gossip_throughput", args);
+  if (args.has("--lazy-smoke")) return run_lazy_smoke(report);
 
-  const std::size_t events = quick ? 4 : 12;
+  const std::size_t events = args.quick ? 4 : 12;
   std::vector<SizeResult> results;
   results.push_back(run_size(1000, events));
   results.push_back(run_size(5000, events));
 
   std::ostringstream os;
-  os << "{\n  \"bench\": \"gossip_throughput\",\n  \"quick\": " << (quick ? "true" : "false")
-     << ",\n  \"results\": [\n";
+  os << "[\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     os << "    {\"peers\": " << r.peers << ", \"events\": " << r.cached.events << ", ";
@@ -393,118 +335,51 @@ int main(int argc, char** argv) {
        << ", \"hybrid_byte_reduction\": " << r.hybrid_byte_reduction << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  os << "  ],\n";
+  os << "  ]";
+  report.raw("results", os.str());
   for (const SizeResult& r : results) {
-    os << "  \"cached_rps_" << r.peers << "\": " << r.cached.rounds_per_sec << ",\n";
-    os << "  \"hybrid_bytes_per_round_" << r.peers << "\": " << r.hybrid.bytes_per_round()
-       << ",\n";
-    os << "  \"lazy_bytes_per_round_" << r.peers << "\": " << r.lazy.bytes_per_round() << ",\n";
+    const std::string n = std::to_string(r.peers);
+    report.floor("cached_rps_" + n, r.cached.rounds_per_sec);
+    report.ceiling("hybrid_bytes_per_round_" + n, r.hybrid.bytes_per_round());
+    report.value("lazy_bytes_per_round_" + n, r.lazy.bytes_per_round());
   }
-  os << "  \"cached_speedup_5000\": " << results.back().speedup << ",\n"
-     << "  \"hybrid_byte_reduction_5000\": " << results.back().hybrid_byte_reduction << "\n}\n";
+  report.value("cached_speedup_5000", results.back().speedup);
+  report.value("hybrid_byte_reduction_5000", results.back().hybrid_byte_reduction);
 
-  std::ofstream("BENCH_gossip_throughput.json") << os.str();
-  std::printf("wrote BENCH_gossip_throughput.json\n");
-
-  int rc = 0;
   for (const SizeResult& r : results) {
     if (!equivalent(r.uncached, r.cached)) {
-      std::fprintf(stderr,
-                   "FAIL: cached run diverges from uncached at %zu peers "
-                   "(bytes %llu vs %llu, msgs %llu vs %llu, rounds %llu vs %llu, "
-                   "converged %zu vs %zu)\n",
-                   r.peers, static_cast<unsigned long long>(r.uncached.bytes),
-                   static_cast<unsigned long long>(r.cached.bytes),
-                   static_cast<unsigned long long>(r.uncached.messages),
-                   static_cast<unsigned long long>(r.cached.messages),
-                   static_cast<unsigned long long>(r.uncached.rounds),
-                   static_cast<unsigned long long>(r.cached.rounds),
-                   r.uncached.durations.size(), r.cached.durations.size());
-      rc = 1;
-    }
-    if (r.cached.durations.size() != r.cached.events || !r.cached.consistent) {
-      std::fprintf(stderr, "FAIL: cached run at %zu peers did not converge (%zu/%zu events)\n",
-                   r.peers, r.cached.durations.size(), r.cached.events);
-      rc = 1;
-    }
-    if (!r.parallel.consistent || r.parallel.durations.size() != r.parallel.events) {
-      std::fprintf(stderr, "FAIL: parallel run at %zu peers did not converge (%zu/%zu events)\n",
-                   r.peers, r.parallel.durations.size(), r.parallel.events);
-      rc = 1;
+      report.fail(
+          "cached run diverges from uncached at %zu peers (bytes %llu vs %llu, msgs %llu vs "
+          "%llu, rounds %llu vs %llu, converged %zu vs %zu)",
+          r.peers, static_cast<unsigned long long>(r.uncached.bytes),
+          static_cast<unsigned long long>(r.cached.bytes),
+          static_cast<unsigned long long>(r.uncached.messages),
+          static_cast<unsigned long long>(r.cached.messages),
+          static_cast<unsigned long long>(r.uncached.rounds),
+          static_cast<unsigned long long>(r.cached.rounds), r.uncached.durations.size(),
+          r.cached.durations.size());
     }
     // The lazy tentpole's convergence gates: every event still converges in
     // both new modes, and every directory ends consistent.
-    for (const RunResult* m : {&r.lazy, &r.hybrid}) {
-      const char* name = m == &r.lazy ? "lazy" : "hybrid";
-      if (!m->consistent || m->durations.size() != m->events) {
-        std::fprintf(stderr, "FAIL: %s run at %zu peers did not converge (%zu/%zu events)\n",
-                     name, r.peers, m->durations.size(), m->events);
-        rc = 1;
-      }
-    }
-    rc |= check_lazy_counters(r.peers, r.lazy);
+    check_converged("cached", r.peers, r.cached, report);
+    check_converged("parallel", r.peers, r.parallel, report);
+    check_converged("lazy", r.peers, r.lazy, report);
+    check_converged("hybrid", r.peers, r.hybrid, report);
+    check_lazy_counters(r.peers, r.lazy, report);
     // Convergence time must stay in eager's ballpark — the byte savings may
     // not come from propagating slower (gate 3's second half).
     if (r.hybrid.mean_convergence_s() > r.cached.mean_convergence_s() * 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: hybrid mean convergence %.1f s vs eager %.1f s at %zu peers "
-                   "(> 1.5x)\n",
-                   r.hybrid.mean_convergence_s(), r.cached.mean_convergence_s(), r.peers);
-      rc = 1;
+      report.fail("hybrid mean convergence %.1f s vs eager %.1f s at %zu peers (> 1.5x)",
+                  r.hybrid.mean_convergence_s(), r.cached.mean_convergence_s(), r.peers);
     }
   }
   if (results.back().speedup < 3.0) {
-    std::fprintf(stderr, "FAIL: cached only %.1fx vs uncached at 5000 peers (need >= 3x)\n",
-                 results.back().speedup);
-    rc = 1;
+    report.fail("cached only %.1fx vs uncached at 5000 peers (need >= 3x)",
+                results.back().speedup);
   }
   if (results.back().hybrid_byte_reduction < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: hybrid moves only %.2fx fewer bytes/round than eager at 5000 peers "
-                 "(need > 2x)\n",
-                 results.back().hybrid_byte_reduction);
-    rc = 1;
+    report.fail("hybrid moves only %.2fx fewer bytes/round than eager at 5000 peers (need > 2x)",
+                results.back().hybrid_byte_reduction);
   }
-
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    for (const SizeResult& r : results) {
-      const std::string key = "cached_rps_" + std::to_string(r.peers);
-      const double recorded = parse_key(baseline, key);
-      if (recorded <= 0.0) continue;
-      if (r.cached.rounds_per_sec < recorded / 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: cached rounds/s at %zu peers regressed: %.0f vs baseline %.0f "
-                     "(>2x drop)\n",
-                     r.peers, r.cached.rounds_per_sec, recorded);
-        rc = 1;
-      } else {
-        std::printf("baseline check at %zu peers: %.0f rounds/s vs recorded %.0f — ok\n", r.peers,
-                    r.cached.rounds_per_sec, recorded);
-      }
-    }
-    for (const SizeResult& r : results) {
-      const std::string key = "hybrid_bytes_per_round_" + std::to_string(r.peers);
-      const double recorded = parse_key(baseline, key);
-      if (recorded <= 0.0) continue;
-      if (r.hybrid.bytes_per_round() > recorded * 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: hybrid bytes/round at %zu peers regressed: %.1f vs baseline %.1f "
-                     "(>2x growth)\n",
-                     r.peers, r.hybrid.bytes_per_round(), recorded);
-        rc = 1;
-      } else {
-        std::printf("baseline check at %zu peers: %.1f hybrid B/round vs recorded %.1f — ok\n",
-                    r.peers, r.hybrid.bytes_per_round(), recorded);
-      }
-    }
-  }
-  return rc;
+  return report.finish();
 }

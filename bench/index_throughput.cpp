@@ -19,7 +19,7 @@
 /// show the parallel sharding win (reported, not gated).
 ///
 /// Reports publish docs/sec, ranked-eval queries/sec with p50/p99 latency,
-/// and heap allocations per op (counted by this TU's operator new). Emits
+/// and heap allocations per op (counted by common/alloc_counter.cpp). Emits
 /// BENCH_index_throughput.json.
 ///
 /// A fourth measurement covers the block-max pruned top-k driver
@@ -44,22 +44,17 @@
 /// Usage: index_throughput [--quick] [--baseline <file>]
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <new>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "bloom/counting_bloom.hpp"
+#include "common/harness.hpp"
 #include "index/compressed_postings.hpp"
 #include "index/data_store.hpp"
 #include "index/inverted_index.hpp"
@@ -71,45 +66,14 @@
 #include "text/tokenizer.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation counter: every throwing/sized/array operator new in the process
-// funnels through here (this TU's definitions replace the library's), so the
-// delta across a timed window counts real heap allocations on the indexing
-// path. Aligned variants keep their default definitions; plain delete always
-// pairs with plain new, so free() is the right inverse.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace planetp;
 using namespace planetp::index;
 using planetp::search::ScoredDoc;
 
 namespace {
-
-double wall_now_s() {
-  return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now().time_since_epoch())
-                                 .count()) /
-         1e9;
-}
 
 // ---------------------------------------------------------------------------
 // Synthetic corpus: Zipf term popularity over a generated vocabulary whose
@@ -319,31 +283,24 @@ struct OpStats {
   }
 };
 
-double percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const std::size_t at = static_cast<std::size_t>(p * static_cast<double>(sorted_us.size() - 1));
-  return sorted_us[at];
-}
-
 /// Time a per-item loop, recording per-item latency and the alloc delta.
 template <typename Fn>
 OpStats timed_loop(std::size_t n, Fn&& fn) {
-  std::vector<double> lat_us;
+  SampleSet lat_us;
   lat_us.reserve(n);
-  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-  const double t0 = wall_now_s();
+  const std::uint64_t allocs0 = bench::allocations();
+  const double t0 = bench::now_s();
   for (std::size_t i = 0; i < n; ++i) {
-    const double s = wall_now_s();
+    const double s = bench::now_s();
     fn(i);
-    lat_us.push_back((wall_now_s() - s) * 1e6);
+    lat_us.add((bench::now_s() - s) * 1e6);
   }
   OpStats out;
-  out.wall_s = wall_now_s() - t0;
-  out.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+  out.wall_s = bench::now_s() - t0;
+  out.allocs = bench::allocations() - allocs0;
   out.ops = n;
-  std::sort(lat_us.begin(), lat_us.end());
-  out.p50_us = percentile(lat_us, 0.50);
-  out.p99_us = percentile(lat_us, 0.99);
+  out.p50_us = lat_us.percentile(50.0);
+  out.p99_us = lat_us.percentile(99.0);
   return out;
 }
 
@@ -534,17 +491,17 @@ SizeResult run_size(std::size_t docs, std::size_t queries, std::size_t vocab_siz
   }
   {
     DataStore store(1, bloom_params);
-    const double t0 = wall_now_s();
+    const double t0 = bench::now_s();
     store.publish_batch(xml, nullptr);
-    out.batch_seq_dps = static_cast<double>(docs) / (wall_now_s() - t0);
+    out.batch_seq_dps = static_cast<double>(docs) / (bench::now_s() - t0);
   }
   {
     ThreadPool pool;
     out.pool_threads = pool.size();
     DataStore store(1, bloom_params);
-    const double t0 = wall_now_s();
+    const double t0 = bench::now_s();
     store.publish_batch(xml, &pool);
-    out.batch_par_dps = static_cast<double>(docs) / (wall_now_s() - t0);
+    out.batch_par_dps = static_cast<double>(docs) / (bench::now_s() - t0);
   }
   // On a single-core host the pooled number is pure offload overhead; the
   // worker count in the report makes that interpretable.
@@ -572,36 +529,18 @@ void append_op(std::ostringstream& os, const char* name, const OpStats& s) {
      << ", \"p99_us\": " << s.p99_us << ", \"allocs_per_op\": " << s.allocs_per_op() << "}";
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    }
-  }
+  const bench::Args args = bench::parse_args_or_exit("index_throughput", argc, argv);
+  bench::Report report("index_throughput", args);
 
   std::vector<SizeResult> results;
-  results.push_back(run_size(1000, quick ? 200 : 600, 8000));
-  results.push_back(run_size(10000, quick ? 300 : 1000, 30000));
+  results.push_back(run_size(1000, args.quick ? 200 : 600, 8000));
+  results.push_back(run_size(10000, args.quick ? 300 : 1000, 30000));
 
   std::ostringstream os;
-  os << "{\n  \"bench\": \"index_throughput\",\n  \"quick\": " << (quick ? "true" : "false")
-     << ",\n  \"results\": [\n";
+  os << "[\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     os << "    {\"docs\": " << r.docs << ", \"queries\": " << r.queries << ", ";
@@ -638,87 +577,38 @@ int main(int argc, char** argv) {
        << ", \"combined_speedup\": " << r.combined_speedup << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  os << "  ],\n";
+  os << "  ]";
+  report.raw("results", os.str());
   for (const SizeResult& r : results) {
-    os << "  \"interned_publish_dps_" << r.docs << "\": " << r.interned_publish.per_sec()
-       << ",\n";
-    os << "  \"interned_eval_qps_" << r.docs << "\": " << r.interned_eval.per_sec() << ",\n";
-    os << "  \"pruned_eval_qps_" << r.docs << "\": " << r.pruned_eval_k10.per_sec() << ",\n";
+    const std::string n = std::to_string(r.docs);
+    report.floor("interned_publish_dps_" + n, r.interned_publish.per_sec());
+    report.floor("interned_eval_qps_" + n, r.interned_eval.per_sec());
+    report.floor("pruned_eval_qps_" + n, r.pruned_eval_k10.per_sec());
   }
-  os << "  \"pruned_speedup_k10_" << results.back().docs << "\": "
-     << results.back().pruned_speedup_k10 << ",\n";
-  os << "  \"combined_speedup_" << results.back().docs << "\": "
-     << results.back().combined_speedup << "\n}\n";
+  const SizeResult& largest = results.back();
+  report.value("pruned_speedup_k10_" + std::to_string(largest.docs), largest.pruned_speedup_k10);
+  report.value("combined_speedup_" + std::to_string(largest.docs), largest.combined_speedup);
 
-  std::ofstream("BENCH_index_throughput.json") << os.str();
-  std::printf("wrote BENCH_index_throughput.json\n");
-
-  int rc = 0;
   for (const SizeResult& r : results) {
     if (!r.rankings_agree) {
-      std::fprintf(stderr, "FAIL: interned ranking diverges from legacy at %zu docs\n", r.docs);
-      rc = 1;
+      report.fail("interned ranking diverges from legacy at %zu docs", r.docs);
     }
   }
-  if (results.back().combined_speedup < 3.0) {
-    std::fprintf(stderr, "FAIL: combined speedup only %.1fx at %zu docs (need >= 3x)\n",
-                 results.back().combined_speedup, results.back().docs);
-    rc = 1;
+  if (largest.combined_speedup < 3.0) {
+    report.fail("combined speedup only %.1fx at %zu docs (need >= 3x)", largest.combined_speedup,
+                largest.docs);
   }
   for (const SizeResult& r : results) {
     if (!r.pruned_identical) {
-      std::fprintf(stderr, "FAIL: pruned top-k diverged from exhaustive at %zu docs\n", r.docs);
-      rc = 1;
+      report.fail("pruned top-k diverged from exhaustive at %zu docs", r.docs);
     }
   }
-  if (results.back().prune_stats.blocks_skipped == 0) {
-    std::fprintf(stderr, "FAIL: pruned driver skipped no blocks at %zu docs\n",
-                 results.back().docs);
-    rc = 1;
+  if (largest.prune_stats.blocks_skipped == 0) {
+    report.fail("pruned driver skipped no blocks at %zu docs", largest.docs);
   }
-  if (results.back().pruned_speedup_k10 < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: pruned eval (k=10) only %.1fx over exhaustive at %zu docs (need >= 3x)\n",
-                 results.back().pruned_speedup_k10, results.back().docs);
-    rc = 1;
+  if (largest.pruned_speedup_k10 < 3.0) {
+    report.fail("pruned eval (k=10) only %.1fx over exhaustive at %zu docs (need >= 3x)",
+                largest.pruned_speedup_k10, largest.docs);
   }
-
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    for (const SizeResult& r : results) {
-      const struct {
-        const char* what;
-        std::string key;
-        double measured;
-      } checks[] = {
-          {"publish docs/s", "interned_publish_dps_" + std::to_string(r.docs),
-           r.interned_publish.per_sec()},
-          {"eval queries/s", "interned_eval_qps_" + std::to_string(r.docs),
-           r.interned_eval.per_sec()},
-          {"pruned eval queries/s", "pruned_eval_qps_" + std::to_string(r.docs),
-           r.pruned_eval_k10.per_sec()},
-      };
-      for (const auto& c : checks) {
-        const double recorded = parse_key(baseline, c.key);
-        if (recorded <= 0.0) continue;
-        if (c.measured < recorded / 2.0) {
-          std::fprintf(stderr,
-                       "FAIL: %s at %zu docs regressed: %.0f vs baseline %.0f (>2x drop)\n",
-                       c.what, r.docs, c.measured, recorded);
-          rc = 1;
-        } else {
-          std::printf("baseline check %s at %zu docs: %.0f vs recorded %.0f — ok\n", c.what,
-                      r.docs, c.measured, recorded);
-        }
-      }
-    }
-  }
-  return rc;
+  return report.finish();
 }

@@ -15,15 +15,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/mem_sampler.hpp"
+#include "common/harness.hpp"
 #include "net/cluster.hpp"
 #include "util/stats.hpp"
 
@@ -48,13 +45,6 @@ struct RunResult {
   double rss_mb = 0.0;    ///< VmRSS at steady state, whole process
   double hwm_mb = 0.0;    ///< VmHWM (peak; sizes run ascending)
 };
-
-double wall_now_s() {
-  return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now().time_since_epoch())
-                                 .count()) /
-         1e9;
-}
 
 LiveNodeConfig bench_config() {
   LiveNodeConfig cfg;
@@ -83,16 +73,16 @@ RunResult run_size(std::size_t nodes, double window_s) {
     std::this_thread::sleep_for(std::chrono::seconds(1));
     const NetStats s0 = cluster.total_net_stats();
     const std::uint64_t rounds0 = cluster.total_rounds();
-    const double t0 = wall_now_s();
+    const double t0 = bench::now_s();
     std::this_thread::sleep_for(
         std::chrono::milliseconds(static_cast<long>(window_s * 500)));
     r.fd_count = LiveCluster::open_fd_count();  // mid-window steady state
-    const benchutil::MemSample mem = benchutil::sample_memory();
-    r.rss_mb = benchutil::to_mb(mem.vm_rss_kb);
-    r.hwm_mb = benchutil::to_mb(mem.vm_hwm_kb);
+    const bench::MemSample mem = bench::sample_memory();
+    r.rss_mb = bench::to_mb(mem.vm_rss_kb);
+    r.hwm_mb = bench::to_mb(mem.vm_hwm_kb);
     std::this_thread::sleep_for(
         std::chrono::milliseconds(static_cast<long>(window_s * 500)));
-    const double wall = wall_now_s() - t0;
+    const double wall = bench::now_s() - t0;
     const NetStats s1 = cluster.total_net_stats();
     const std::uint64_t rounds1 = cluster.total_rounds();
 
@@ -123,32 +113,15 @@ void print_result(const RunResult& r) {
       r.rss_mb, r.fd_clean ? "" : "   (FD LEAK)");
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    }
-  }
+  const bench::Args args = bench::parse_args_or_exit("live_throughput", argc, argv);
+  bench::Report report("live_throughput", args);
 
   // Same sizes either way (the baseline keys must match); --quick only
   // shortens the measured window.
-  const double window_s = quick ? 3.0 : 6.0;
+  const double window_s = args.quick ? 3.0 : 6.0;
   std::vector<RunResult> results;
   for (const std::size_t nodes : {std::size_t{100}, std::size_t{500}, std::size_t{1000}}) {
     results.push_back(run_size(nodes, window_s));
@@ -156,8 +129,7 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream os;
-  os << "{\n  \"bench\": \"live_throughput\",\n  \"quick\": " << (quick ? "true" : "false")
-     << ",\n  \"results\": [\n";
+  os << "[\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     os << "    {\"nodes\": " << r.nodes << ", \"wall_s\": " << r.wall_s
@@ -168,61 +140,26 @@ int main(int argc, char** argv) {
        << ", \"hwm_mb\": " << r.hwm_mb << ", \"fd_clean\": "
        << (r.fd_clean ? "true" : "false") << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  os << "  ],\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    os << "  \"msgs_per_sec_" << r.nodes << "\": " << r.msgs_per_sec
-       << (i + 1 < results.size() ? ",\n" : "\n");
+  os << "  ]";
+  report.raw("results", os.str());
+  for (const RunResult& r : results) {
+    report.floor("msgs_per_sec_" + std::to_string(r.nodes), r.msgs_per_sec);
   }
-  os << "}\n";
 
-  std::ofstream("BENCH_live_throughput.json") << os.str();
-  std::printf("wrote BENCH_live_throughput.json\n");
-
-  int rc = 0;
   for (const RunResult& r : results) {
     if (r.rounds == 0 || r.frames == 0) {
-      std::fprintf(stderr, "FAIL: %zu nodes exchanged no gossip (%llu rounds, %llu frames)\n",
-                   r.nodes, static_cast<unsigned long long>(r.rounds),
-                   static_cast<unsigned long long>(r.frames));
-      rc = 1;
+      report.fail("%zu nodes exchanged no gossip (%llu rounds, %llu frames)", r.nodes,
+                  static_cast<unsigned long long>(r.rounds),
+                  static_cast<unsigned long long>(r.frames));
     }
     if (r.peak_queued > r.global_cap) {
-      std::fprintf(stderr, "FAIL: %zu nodes peak queued %llu exceeds global cap %llu\n", r.nodes,
-                   static_cast<unsigned long long>(r.peak_queued),
-                   static_cast<unsigned long long>(r.global_cap));
-      rc = 1;
+      report.fail("%zu nodes peak queued %llu exceeds global cap %llu", r.nodes,
+                  static_cast<unsigned long long>(r.peak_queued),
+                  static_cast<unsigned long long>(r.global_cap));
     }
     if (!r.fd_clean) {
-      std::fprintf(stderr, "FAIL: %zu nodes leaked descriptors across the cluster lifecycle\n",
-                   r.nodes);
-      rc = 1;
+      report.fail("%zu nodes leaked descriptors across the cluster lifecycle", r.nodes);
     }
   }
-
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    for (const RunResult& r : results) {
-      const std::string key = "msgs_per_sec_" + std::to_string(r.nodes);
-      const double recorded = parse_key(baseline, key);
-      if (recorded <= 0.0) continue;
-      if (r.msgs_per_sec < recorded / 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: msgs/s at %zu nodes regressed: %.0f vs baseline %.0f (>2x drop)\n",
-                     r.nodes, r.msgs_per_sec, recorded);
-        rc = 1;
-      } else {
-        std::printf("baseline check at %zu nodes: %.0f msgs/s vs recorded %.0f — ok\n", r.nodes,
-                    r.msgs_per_sec, recorded);
-      }
-    }
-  }
-  return rc;
+  return report.finish();
 }

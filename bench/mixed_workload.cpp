@@ -39,21 +39,17 @@
 ///      bench/baselines/mixed_workload.json).
 /// Usage: mixed_workload [--quick] [--baseline <file>]
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "common/harness.hpp"
 #include "index/data_store.hpp"
 #include "index/inverted_index.hpp"
 #include "search/ranker.hpp"
@@ -61,19 +57,13 @@
 #include "text/porter_stemmer.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 using namespace planetp;
 using namespace planetp::index;
 using planetp::search::ScoredDoc;
 
 namespace {
-
-double wall_now_s() {
-  return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now().time_since_epoch())
-                                 .count()) /
-         1e9;
-}
 
 // ---------------------------------------------------------------------------
 // Synthetic corpus (same shape as index_throughput: Zipf popularity over a
@@ -237,12 +227,6 @@ struct MixedResult {
   double eps() const { return wall_s > 0.0 ? static_cast<double>(epochs) / wall_s : 0.0; }
 };
 
-double percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const std::size_t at = static_cast<std::size_t>(p * static_cast<double>(sorted_us.size() - 1));
-  return sorted_us[at];
-}
-
 MixedResult run_mixed(std::size_t num_readers, double seconds,
                       const std::vector<std::string>& corpus,
                       const std::vector<std::vector<std::string>>& queries) {
@@ -263,7 +247,7 @@ MixedResult run_mixed(std::size_t num_readers, double seconds,
   std::vector<search::PruneStats> reader_stats(num_readers);
 
   const std::uint64_t epochs0 = store.epochs().stats().epochs_published;
-  const double t0 = wall_now_s();
+  const double t0 = bench::now_s();
 
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < num_readers; ++r) {
@@ -275,11 +259,11 @@ MixedResult run_mixed(std::size_t num_readers, double seconds,
       std::unordered_map<std::string, double> weights;
       while (!done.load(std::memory_order_relaxed)) {
         const auto& q = queries[rng.below(queries.size())];
-        const double s = wall_now_s();
+        const double s = bench::now_s();
         const auto snap = store.snapshot();
         search::idf_weights(*snap, q, weights);
         const auto top = search::top_k(*snap, weights, 10, &ps);
-        lat.push_back((wall_now_s() - s) * 1e6);
+        lat.push_back((bench::now_s() - s) * 1e6);
         (void)top;
         ++counts[r];
       }
@@ -306,7 +290,7 @@ MixedResult run_mixed(std::size_t num_readers, double seconds,
     }
   });
 
-  while (wall_now_s() - t0 < seconds) {
+  while (bench::now_s() - t0 < seconds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   done.store(true, std::memory_order_relaxed);
@@ -315,17 +299,16 @@ MixedResult run_mixed(std::size_t num_readers, double seconds,
 
   MixedResult out;
   out.readers = num_readers;
-  out.wall_s = wall_now_s() - t0;
+  out.wall_s = bench::now_s() - t0;
   out.epochs = store.epochs().stats().epochs_published - epochs0;
-  std::vector<double> all;
+  SampleSet all;
   for (std::size_t r = 0; r < num_readers; ++r) {
     out.queries += counts[r];
     out.prune += reader_stats[r];
-    all.insert(all.end(), latencies[r].begin(), latencies[r].end());
+    for (const double us : latencies[r]) all.add(us);
   }
-  std::sort(all.begin(), all.end());
-  out.p50_us = percentile(all, 0.50);
-  out.p99_us = percentile(all, 0.99);
+  out.p50_us = all.percentile(50.0);
+  out.p99_us = all.percentile(99.0);
   std::printf(
       "  %zu reader%s + 1 writer: %8.0f qps   p50 %7.1f us   p99 %8.1f us   %6.0f epochs/s   "
       "(%llu pruned, %llu fallbacks, %llu blocks skipped)\n",
@@ -336,28 +319,11 @@ MixedResult run_mixed(std::size_t num_readers, double seconds,
   return out;
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    }
-  }
+  const bench::Args args = bench::parse_args_or_exit("mixed_workload", argc, argv);
+  bench::Report report("mixed_workload", args);
 
   Rng rng(20260808);
   const std::size_t vocab_size = 8000;
@@ -366,10 +332,10 @@ int main(int argc, char** argv) {
   const std::vector<std::string> corpus = make_corpus(1200, vocab, zipf, rng);
   const auto queries = make_queries(400, vocab, zipf, rng);
 
-  const std::size_t identity_docs = quick ? 300 : 800;
+  const std::size_t identity_docs = args.quick ? 300 : 800;
   const std::size_t identity_mismatches = identity_phase(identity_docs, corpus, queries);
 
-  const double window_s = quick ? 0.4 : 1.2;
+  const double window_s = args.quick ? 0.4 : 1.2;
   std::printf("timed phase (%.1f s per configuration):\n", window_s);
   std::vector<MixedResult> results;
   for (const std::size_t n : {1u, 2u, 4u, 8u}) {
@@ -379,7 +345,7 @@ int main(int argc, char** argv) {
   const MixedResult& r8 = results.back();
   const double scaling = r1.qps() > 0.0 ? r8.qps() / r1.qps() : 0.0;
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned hw = bench::hardware_threads();
   // Hardware-adaptive scaling gate: parallel speedup needs parallel
   // hardware. With one core the readers timeslice it, so the gate degrades
   // to an anti-collapse check (same policy as index_throughput's pooled
@@ -396,11 +362,10 @@ int main(int argc, char** argv) {
   std::printf("scaling 1 -> 8 readers: %.2fx (hw threads %u, %s, need >= %.2fx)\n", scaling, hw,
               regime, required);
 
+  report.value("identity_epochs_checked", identity_docs + identity_docs / 8);
+  report.value("identity_mismatches", identity_mismatches);
   std::ostringstream os;
-  os << "{\n  \"bench\": \"mixed_workload\",\n  \"quick\": " << (quick ? "true" : "false")
-     << ",\n  \"hardware_threads\": " << hw
-     << ",\n  \"identity_epochs_checked\": " << (identity_docs + identity_docs / 8)
-     << ",\n  \"identity_mismatches\": " << identity_mismatches << ",\n  \"results\": [\n";
+  os << "[\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const MixedResult& r = results[i];
     os << "    {\"readers\": " << r.readers << ", \"wall_s\": " << r.wall_s
@@ -412,69 +377,37 @@ int main(int argc, char** argv) {
        << ", \"blocks_skipped\": " << r.prune.blocks_skipped << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  os << "  ],\n";
+  os << "  ]";
+  report.raw("results", os.str());
+  // The baseline gates the 1- and 8-reader ends of the sweep.
   for (const MixedResult& r : results) {
-    os << "  \"reader_qps_" << r.readers << "\": " << r.qps() << ",\n";
+    const std::string key = "reader_qps_" + std::to_string(r.readers);
+    if (r.readers == 1 || r.readers == 8) {
+      report.floor(key, r.qps());
+    } else {
+      report.value(key, r.qps());
+    }
   }
   search::PruneStats prune_total;
   for (const MixedResult& r : results) prune_total += r.prune;
-  os << "  \"pruned_queries_total\": " << prune_total.pruned_queries
-     << ",\n  \"blocks_skipped_total\": " << prune_total.blocks_skipped << ",\n";
-  os << "  \"writer_epochs_per_sec_8\": " << r8.eps() << ",\n  \"scaling_1_to_8\": " << scaling
-     << "\n}\n";
+  report.value("pruned_queries_total", prune_total.pruned_queries);
+  report.value("blocks_skipped_total", prune_total.blocks_skipped);
+  report.value("writer_epochs_per_sec_8", r8.eps());
+  report.value("scaling_1_to_8", scaling);
 
-  std::ofstream("BENCH_mixed_workload.json") << os.str();
-  std::printf("wrote BENCH_mixed_workload.json\n");
-
-  int rc = 0;
   if (identity_mismatches != 0) {
-    std::fprintf(stderr, "FAIL: %zu epochs ranked differently from the sequential oracle\n",
-                 identity_mismatches);
-    rc = 1;
+    report.fail("%zu epochs ranked differently from the sequential oracle", identity_mismatches);
   }
   if (scaling < required) {
-    std::fprintf(stderr, "FAIL: 1 -> 8 reader scaling %.2fx below the %.2fx gate (%s)\n",
-                 scaling, required, regime);
-    rc = 1;
+    report.fail("1 -> 8 reader scaling %.2fx below the %.2fx gate (%s)", scaling, required,
+                regime);
   }
   if (prune_total.pruned_queries == 0 || prune_total.blocks_skipped == 0) {
-    std::fprintf(stderr,
-                 "FAIL: timed-phase readers never pruned (%llu pruned queries, %llu blocks "
-                 "skipped) — every query fell back to the exhaustive scan\n",
-                 static_cast<unsigned long long>(prune_total.pruned_queries),
-                 static_cast<unsigned long long>(prune_total.blocks_skipped));
-    rc = 1;
+    report.fail(
+        "timed-phase readers never pruned (%llu pruned queries, %llu blocks skipped) — every "
+        "query fell back to the exhaustive scan",
+        static_cast<unsigned long long>(prune_total.pruned_queries),
+        static_cast<unsigned long long>(prune_total.blocks_skipped));
   }
-
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    const struct {
-      const char* what;
-      const char* key;
-      double measured;
-    } checks[] = {
-        {"1-reader qps", "reader_qps_1", r1.qps()},
-        {"8-reader qps", "reader_qps_8", r8.qps()},
-    };
-    for (const auto& c : checks) {
-      const double recorded = parse_key(baseline, c.key);
-      if (recorded <= 0.0) continue;
-      if (c.measured < recorded / 2.0) {
-        std::fprintf(stderr, "FAIL: %s regressed: %.0f vs baseline %.0f (>2x drop)\n", c.what,
-                     c.measured, recorded);
-        rc = 1;
-      } else {
-        std::printf("baseline check %s: %.0f vs recorded %.0f — ok\n", c.what, c.measured,
-                    recorded);
-      }
-    }
-  }
-  return rc;
+  return report.finish();
 }

@@ -18,11 +18,8 @@
 /// Usage: search_throughput [--quick] [--baseline <file>]
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -30,9 +27,11 @@
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
+#include "common/harness.hpp"
 #include "search/candidate_cache.hpp"
 #include "search/distributed.hpp"
 #include "search/ipf.hpp"
+#include "util/stats.hpp"
 
 using namespace planetp;
 using namespace planetp::search;
@@ -76,47 +75,31 @@ std::vector<HashedTerms> build_queries(std::size_t count, std::uint64_t seed) {
   return queries;
 }
 
-double now_ns() {
-  return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 std::chrono::steady_clock::now().time_since_epoch())
-                                 .count());
-}
-
 struct ModeResult {
   double qps = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
 };
 
-ModeResult summarize(std::vector<double>& per_query_ns) {
-  ModeResult r;
-  double total = 0.0;
-  for (double ns : per_query_ns) total += ns;
-  r.qps = total > 0.0 ? static_cast<double>(per_query_ns.size()) * 1e9 / total : 0.0;
-  std::sort(per_query_ns.begin(), per_query_ns.end());
-  const auto at = [&](double q) {
-    const std::size_t i = static_cast<std::size_t>(q * static_cast<double>(per_query_ns.size() - 1));
-    return per_query_ns[i] / 1e3;
-  };
-  r.p50_us = at(0.50);
-  r.p99_us = at(0.99);
-  return r;
-}
-
 /// One timed pass: table() builds the IpfTable for query q; the ranked-peer
 /// count feeds a sink so nothing is optimized away.
 template <typename TableFn>
 ModeResult timed_pass(const std::vector<HashedTerms>& queries, TableFn&& table,
                       std::size_t* sink) {
-  std::vector<double> per_query_ns;
-  per_query_ns.reserve(queries.size());
+  SampleSet per_query_us;
+  per_query_us.reserve(queries.size());
   for (const HashedTerms& q : queries) {
-    const double t0 = now_ns();
+    const double t0 = bench::now_s();
     const IpfTable t = table(q);
     *sink += rank_peers(t).size();
-    per_query_ns.push_back(now_ns() - t0);
+    per_query_us.add((bench::now_s() - t0) * 1e6);
   }
-  return summarize(per_query_ns);
+  ModeResult r;
+  const double mean_us = per_query_us.mean();
+  r.qps = mean_us > 0.0 ? 1e6 / mean_us : 0.0;
+  r.p50_us = per_query_us.percentile(50.0);
+  r.p99_us = per_query_us.percentile(99.0);
+  return r;
 }
 
 /// Byte-identity spot check between the cached and uncached paths.
@@ -208,37 +191,19 @@ void append_mode(std::ostringstream& os, const char* name, const ModeResult& m) 
      << ", \"p99_us\": " << m.p99_us << "}";
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    }
-  }
+  const bench::Args args = bench::parse_args_or_exit("search_throughput", argc, argv);
+  bench::Report report("search_throughput", args);
 
-  const std::size_t nqueries = quick ? 64 : 256;
+  const std::size_t nqueries = args.quick ? 64 : 256;
   std::vector<SizeResult> results;
   results.push_back(run_size(1000, nqueries));
   results.push_back(run_size(5000, nqueries));
 
   std::ostringstream os;
-  os << "{\n  \"bench\": \"search_throughput\",\n  \"quick\": " << (quick ? "true" : "false")
-     << ",\n  \"results\": [\n";
+  os << "[\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     os << "    {\"peers\": " << r.peers << ", \"queries\": " << r.queries << ", ";
@@ -250,45 +215,16 @@ int main(int argc, char** argv) {
     os << ", \"warm_speedup_vs_uncached\": " << r.warm_speedup << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  os << "  ],\n";
+  os << "  ]";
+  report.raw("results", os.str());
   for (const SizeResult& r : results) {
-    os << "  \"warm_qps_" << r.peers << "\": " << r.warm.qps << ",\n";
+    report.floor("warm_qps_" + std::to_string(r.peers), r.warm.qps);
   }
-  os << "  \"warm_speedup_5000\": " << results.back().warm_speedup << "\n}\n";
+  report.value("warm_speedup_5000", results.back().warm_speedup);
 
-  std::ofstream("BENCH_search_throughput.json") << os.str();
-  std::printf("wrote BENCH_search_throughput.json\n");
-
-  int rc = 0;
   if (results.back().warm_speedup < 5.0) {
-    std::fprintf(stderr, "FAIL: warm cache only %.1fx vs uncached at 5000 peers (need >= 5x)\n",
-                 results.back().warm_speedup);
-    rc = 1;
+    report.fail("warm cache only %.1fx vs uncached at 5000 peers (need >= 5x)",
+                results.back().warm_speedup);
   }
-
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    for (const SizeResult& r : results) {
-      const std::string key = "warm_qps_" + std::to_string(r.peers);
-      const double recorded = parse_key(baseline, key);
-      if (recorded <= 0.0) continue;
-      if (r.warm.qps < recorded / 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: warm qps at %zu peers regressed: %.0f vs baseline %.0f (>2x drop)\n",
-                     r.peers, r.warm.qps, recorded);
-        rc = 1;
-      } else {
-        std::printf("baseline check at %zu peers: %.0f qps vs recorded %.0f — ok\n", r.peers,
-                    r.warm.qps, recorded);
-      }
-    }
-  }
-  return rc;
+  return report.finish();
 }

@@ -50,102 +50,56 @@ cmake --build build-tsan -j "$JOBS" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'DistributedSearchConcurrent|KAndFloorMatchAllMatches|ParallelStepping|ParallelPublish|MixedWorkload|Reactor|LiveNode.RpcFailsFastWhenPeerCrashes|CompactDirectory|CompressedAtRest|LazyGossip|PrunedTopK|Conformance'
 
-# Query hot-path smoke run + perf-regression guard: search_throughput exits
-# non-zero when the warm CandidateCache is not >=5x the uncached scan at 5000
-# peers, or when warm qps falls below half the committed baseline.
-echo "=== search_throughput ==="
-if [ "$QUICK" = "--quick" ]; then
-  build/bench/search_throughput --quick --baseline bench/baselines/search_throughput.json
-else
-  build/bench/search_throughput --baseline bench/baselines/search_throughput.json
-fi
-
 # Lazy-dissemination smoke under ASan: a small lazy + hybrid community
 # exercising the digest/want/serve and delta-summary paths end to end under
 # the sanitizer, with the zero-blind-payload counter gates applied.
 echo "=== gossip_throughput --lazy-smoke (ASan) ==="
 build-asan/bench/gossip_throughput --lazy-smoke
 
-# Gossip-plane smoke run + perf-regression guard: gossip_throughput exits
-# non-zero when the epoch-cached summary path is not >=3x the uncached cost
-# model at 5000 peers, when cached/uncached traces diverge (the cache must be
-# behaviourally invisible), when hybrid fails the >2x bytes/round reduction
-# (with unchanged convergence) over eager at 5000 peers, when lazy mode
-# pushes any blind payload, or when cached rounds/sec falls below half — or
-# hybrid bytes/round rises above twice — the committed baseline.
-echo "=== gossip_throughput ==="
-if [ "$QUICK" = "--quick" ]; then
-  build/bench/gossip_throughput --quick --baseline bench/baselines/gossip_throughput.json
-else
-  build/bench/gossip_throughput --baseline bench/baselines/gossip_throughput.json
-fi
-
-# Live TCP runtime smoke run + perf-regression guard: live_throughput exits
-# non-zero when a 100/500/1000-node loopback cluster fails to gossip, leaks
-# descriptors across a cluster lifecycle, exceeds the global outbound byte
-# cap, or when msgs/sec falls below half the committed baseline.
-echo "=== live_throughput ==="
-if [ "$QUICK" = "--quick" ]; then
-  build/bench/live_throughput --quick --baseline bench/baselines/live_throughput.json
-else
-  build/bench/live_throughput --baseline bench/baselines/live_throughput.json
-fi
-
-# Indexing/ranking hot-path smoke run + perf-regression guard:
-# index_throughput exits non-zero when the interned pipeline's combined
-# (publish x eval) speedup over the legacy string-keyed cost model drops
-# below 3x at 10k docs, when the two paths rank different documents, when
-# the block-max pruned top-k diverges bitwise from the exhaustive ranking,
-# skips no blocks, or misses the >=3x pruned-vs-exhaustive gate at 10k docs
-# (k=10), or when publish docs/sec, eval qps, or pruned eval qps falls below
-# half the committed baseline.
-echo "=== index_throughput ==="
-if [ "$QUICK" = "--quick" ]; then
-  build/bench/index_throughput --quick --baseline bench/baselines/index_throughput.json
-else
-  build/bench/index_throughput --baseline bench/baselines/index_throughput.json
-fi
-
-# Community-scale smoke run + memory/scan-regression guard: community_scale
-# exits non-zero when filter changes fail to converge or sampled directories
-# disagree, when peak RSS exceeds 10% of the fully-decoded O(N^2) cost model
-# (docs/SCALE.md), when summary-merge scans grow with community size instead
-# of the changed set, or when rounds/sec or RSS regresses 2x against the
-# committed baseline. --quick stops at 5000 peers; the full run goes to 100k.
-echo "=== community_scale ==="
-if [ "$QUICK" = "--quick" ]; then
-  build/bench/community_scale --quick --baseline bench/baselines/community_scale.json
-else
-  build/bench/community_scale --baseline bench/baselines/community_scale.json
-fi
-
-# Concurrent-serving smoke run + perf-regression guard: mixed_workload exits
-# non-zero when any published epoch ranks differently from a sequential
-# single-threaded oracle, when 1->8 reader qps misses the hardware-adaptive
-# scaling gate, when the timed-phase readers never take the pruned scan
-# (pruned_queries or blocks_skipped zero), or when 1-/8-reader qps falls
-# below half the committed baseline.
-echo "=== mixed_workload ==="
-if [ "$QUICK" = "--quick" ]; then
-  build/bench/mixed_workload --quick --baseline bench/baselines/mixed_workload.json
-else
-  build/bench/mixed_workload --baseline bench/baselines/mixed_workload.json
-fi
+# The baseline-gated benches, in this order. Each writes BENCH_<name>.json and
+# exits non-zero when one of its in-run gates fails, or when a number it gates
+# falls below half (or, for a ceiling, rises above twice) the value recorded in
+# bench/baselines/<name>.json — including when that value is missing
+# (bench/common/harness.hpp). The in-run gates:
+#   search_throughput — the warm CandidateCache must be >=5x the uncached scan
+#     at 5000 peers (baseline: warm qps).
+#   gossip_throughput — the epoch-cached summary path must be >=3x the
+#     uncached cost model at 5000 peers; cached/uncached traces must not
+#     diverge (the cache must be behaviourally invisible); hybrid must cut
+#     bytes/round >2x over eager at 5000 peers with unchanged convergence;
+#     lazy mode must push no blind payload (baseline: cached rounds/sec floor,
+#     hybrid bytes/round ceiling).
+#   live_throughput — a 100/500/1000-node loopback cluster must gossip, leak no
+#     descriptors across a cluster lifecycle, and stay under the global
+#     outbound byte cap (baseline: msgs/sec).
+#   index_throughput — the interned pipeline's combined (publish x eval)
+#     speedup over the legacy string-keyed cost model must be >=3x at 10k
+#     docs, both paths must rank the same documents, and the block-max pruned
+#     top-k must match the exhaustive ranking bitwise, skip blocks, and be >=3x
+#     faster at 10k docs (k=10) (baseline: publish docs/sec, eval qps, pruned
+#     eval qps).
+#   community_scale — filter changes must converge and sampled directories
+#     agree, peak RSS must stay under 10% of the fully-decoded O(N^2) cost
+#     model (docs/SCALE.md), and summary-merge scans must grow with the changed
+#     set, not community size (baseline: rounds/sec floor, RSS ceiling).
+#     --quick stops at 5000 peers; the full run goes to 100k.
+#   mixed_workload — every published epoch must rank like a sequential
+#     single-threaded oracle, 1->8 reader qps must meet the hardware-adaptive
+#     scaling gate, and the timed-phase readers must take the pruned scan
+#     (pruned_queries and blocks_skipped nonzero) (baseline: 1-/8-reader qps).
+GATED_BENCHES="search_throughput gossip_throughput live_throughput index_throughput community_scale mixed_workload"
+QUICK_FLAG=""
+[ "$QUICK" = "--quick" ] && QUICK_FLAG="--quick"
+for name in $GATED_BENCHES; do
+  echo "=== $name ==="
+  build/bench/"$name" $QUICK_FLAG --baseline "bench/baselines/$name.json"
+done
 
 for b in build/bench/*; do
   # Skip build-system files (Makefiles generator) and BENCH_*.json emissions;
   # only regular executables are benchmarks.
   { [ -f "$b" ] && [ -x "$b" ]; } || continue
-  [ "$(basename "$b")" = "search_throughput" ] && continue
-  [ "$(basename "$b")" = "gossip_throughput" ] && continue
-  [ "$(basename "$b")" = "live_throughput" ] && continue
-  [ "$(basename "$b")" = "index_throughput" ] && continue
-  [ "$(basename "$b")" = "mixed_workload" ] && continue
-  [ "$(basename "$b")" = "community_scale" ] && continue
+  case " $GATED_BENCHES " in *" $(basename "$b") "*) continue ;; esac
   echo "=== $(basename "$b") ==="
-  if [ "$QUICK" = "--quick" ]; then
-    "$b" --quick
-  else
-    "$b"
-  fi
+  "$b" $QUICK_FLAG
 done
